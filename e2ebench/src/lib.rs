@@ -31,12 +31,13 @@ use std::time::{Duration, Instant};
 
 use memdb::{Database, DurabilityConfig, Table};
 use seedb_core::{ExecutionStrategy, SeeDb, Service, ServiceConfig};
-use seedb_obs::MetricsSnapshot;
+use seedb_obs::{MetricsSnapshot, TraceData};
+use serde_json::{json, Value};
 
 use crate::data::{digest_rows, hot_pool, rng_for, Shape, Stream, TABLE};
 use crate::host::{peak_rss_mb, Stamp};
 use crate::load::{analyst, writer, AnalystOut, Sample, Tracing, Window, WriterOut, WriterPlan};
-use crate::trace::{fingerprint, layers, Replay, ReplayCounts, SpanLog, SpanRec};
+use crate::trace::{fingerprint, layers, tracer, Replay, ReplayCounts, CHECKPOINT_SUFFIX};
 
 /// The workloads, each chosen to stress a different layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,25 +135,23 @@ pub struct Report {
 impl Report {
     /// The result line.
     pub fn to_json(&self) -> String {
-        let metrics: Vec<String> = self
-            .metrics
-            .iter()
-            .map(|m| {
-                format!(
-                    "\"{}\": {{\"value\": {}, \"unit\": \"{}\"}}",
-                    m.name,
-                    json_number(m.value),
-                    m.unit
-                )
-            })
-            .collect();
-        format!(
-            "{{\"correct\": {}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{{}}}}}",
-            self.correct,
-            self.attempted,
-            self.failed,
-            metrics.join(", ")
-        )
+        let metrics = Value::Object(
+            self.metrics
+                .iter()
+                .map(|m| {
+                    (
+                        m.name.to_string(),
+                        json!({"value": m.value, "unit": m.unit}),
+                    )
+                })
+                .collect(),
+        );
+        to_line(&json!({
+            "correct": self.correct,
+            "attempted": self.attempted,
+            "failed": self.failed,
+            "metrics": metrics,
+        }))
     }
 
     /// The value of metric `name`.
@@ -166,37 +165,21 @@ impl Report {
 
 /// The stamp line printed before the result.
 pub fn stamp_json(stamp: &Stamp, opts: &Options) -> String {
-    format!(
-        "{{\"stamp\": {{\"workload\": \"{}\", \"seed\": {}, \"seconds\": {}, \"trace\": {}, \
-         \"nproc\": {}, \"cpu\": \"{}\", \"rustc\": \"{}\", \"profile\": \"{}\", \"git_rev\": \"{}\"}}}}",
-        opts.workload.name(),
-        opts.seed,
-        json_number(opts.seconds),
-        u8::from(opts.trace),
-        stamp.nproc,
-        json_escape(&stamp.cpu),
-        json_escape(&stamp.rustc),
-        json_escape(&stamp.profile),
-        json_escape(&stamp.git_rev),
-    )
+    to_line(&json!({"stamp": {
+        "workload": opts.workload.name(),
+        "seed": opts.seed,
+        "seconds": opts.seconds,
+        "trace": u8::from(opts.trace),
+        "nproc": stamp.nproc,
+        "cpu": stamp.cpu,
+        "rustc": stamp.rustc,
+        "profile": stamp.profile,
+        "git_rev": stamp.git_rev,
+    }}))
 }
 
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .filter(|c| !c.is_control())
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c => vec![c],
-        })
-        .collect()
+fn to_line(v: &Value) -> String {
+    serde_json::to_string(v).expect("a JSON value always serializes")
 }
 
 /// How each workload is shaped.
@@ -427,6 +410,21 @@ fn spot_check(samples: &[Sample], service: &Service) -> u64 {
     mismatches
 }
 
+/// Copy the store directory `from` to `to`, as a crash would leave it.
+fn copy_dir(from: &Path, to: &Path) -> std::io::Result<()> {
+    std::fs::create_dir_all(to)?;
+    for entry in std::fs::read_dir(from)? {
+        let entry = entry?;
+        let target = to.join(entry.file_name());
+        if entry.file_type()?.is_dir() {
+            copy_dir(&entry.path(), &target)?;
+        } else {
+            std::fs::copy(entry.path(), target)?;
+        }
+    }
+    Ok(())
+}
+
 /// Count acknowledged batches missing or altered in the reopened table.
 fn lost_batches(table: &Table, expected_rows: usize, acked: &[(usize, usize, u64)]) -> u64 {
     if table.num_rows() != expected_rows {
@@ -470,11 +468,13 @@ struct Observed {
     setup_s: Vec<f64>,
     reopen_ms: Vec<f64>,
     store_open_ms: Vec<f64>,
+    /// `Database::open` of the crash copy, which replays the WAL.
+    recover_ms: f64,
     before: MetricsSnapshot,
     after: MetricsSnapshot,
     /// Growth of the checkpointed files over the window.
     ckpt_bytes: u64,
-    spans: Vec<SpanRec>,
+    traces: Vec<TraceData>,
     counts: ReplayCounts,
     attempted: u64,
     failed: u64,
@@ -537,10 +537,10 @@ fn observe(plan: &Plan, stream: &Stream, opts: &Options, work: &Path) -> Result<
     let config = service.config().clone();
 
     // The measured window; a traced run traces its second half.
-    let log = SpanLog::default();
+    let tracer = tracer();
     let replay = Replay::new(config.seedb.clone());
     let tracing = opts.trace.then_some(Tracing {
-        log: &log,
+        tracer: &tracer,
         replay: &replay,
     });
     let truth = if plan.phased {
@@ -578,7 +578,7 @@ fn observe(plan: &Plan, stream: &Stream, opts: &Options, work: &Path) -> Result<
                 &service.session(),
                 &wplan,
                 window,
-                opts.trace.then_some(&log),
+                opts.trace.then_some(&tracer),
             )
         });
         let outs: Vec<AnalystOut> = handles
@@ -591,8 +591,25 @@ fn observe(plan: &Plan, stream: &Stream, opts: &Options, work: &Path) -> Result<
     let after = service.metrics();
     let ckpt_bytes = store_bytes(&dir).saturating_sub(bytes_before);
 
-    let mut attempted: u64 = analysts.iter().map(|a| a.attempted).sum::<u64>() + written.attempted;
-    let mut failed: u64 = analysts.iter().map(|a| a.failed).sum::<u64>() + written.failed;
+    // Recovery: the directory as the window left it holds every
+    // acknowledged append in a checkpoint or in the fsynced WAL. A copy
+    // of it is opened as after a crash, through WAL replay, and every
+    // acknowledged batch must be readable there.
+    let expected_rows = initial_rows + written.acked.iter().map(|b| b.1).sum::<usize>();
+    let crash = work.join("crash");
+    copy_dir(&dir, &crash).map_err(|e| format!("copy the store: {e}"))?;
+    let t0 = Instant::now();
+    let recovered = Database::open_with(&crash, DurabilityConfig::recommended());
+    let recover_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let lost = match recovered.and_then(|db| db.table(TABLE)) {
+        Ok(t) => lost_batches(&t, expected_rows, &written.acked),
+        Err(_) => 1,
+    };
+    let _ = std::fs::remove_dir_all(&crash);
+
+    let mut attempted: u64 =
+        analysts.iter().map(|a| a.attempted).sum::<u64>() + written.attempted + 1;
+    let mut failed: u64 = analysts.iter().map(|a| a.failed).sum::<u64>() + written.failed + lost;
     let samples: Vec<Sample> = analysts
         .iter_mut()
         .flat_map(|a| std::mem::take(&mut a.samples))
@@ -602,12 +619,12 @@ fn observe(plan: &Plan, stream: &Stream, opts: &Options, work: &Path) -> Result<
     failed += counts.mismatches + counts.errors;
 
     // Shut down cleanly, then restart from the directory; the first
-    // reopen also checks that every acknowledged batch survived.
+    // reopen also checks that every acknowledged batch survived the
+    // shutdown checkpoint.
     service
         .persist(&dir)
         .map_err(|e| format!("persist at shutdown: {e}"))?;
     drop(service);
-    let expected_rows = initial_rows + written.acked.iter().map(|b| b.1).sum::<usize>();
     let mut reopen_ms = Vec::with_capacity(REOPENS);
     let reopens = Instant::now();
     for i in 0..REOPENS {
@@ -643,10 +660,11 @@ fn observe(plan: &Plan, stream: &Stream, opts: &Options, work: &Path) -> Result<
         setup_s,
         reopen_ms,
         store_open_ms,
+        recover_ms,
         before,
         after,
         ckpt_bytes,
-        spans: log.spans(),
+        traces: tracer.recent(usize::MAX),
         counts,
         attempted,
         failed,
@@ -666,7 +684,7 @@ fn end_to_end(o: &Observed) -> Vec<Metric> {
 }
 
 fn per_layer(o: &Observed) -> Vec<Metric> {
-    let by = layers(&o.spans);
+    let by = layers(&o.traces);
     let layer = |n: &str| by.get(n).copied().unwrap_or_default();
     let c = &o.counts;
     let replayed = c.requests as f64;
@@ -765,7 +783,7 @@ fn per_layer(o: &Observed) -> Vec<Metric> {
         metric("store.append_ms", layer("store.append").mean_ms(), "ms"),
         metric(
             "store.append_ckpt_ms",
-            layer("store.append_ckpt").mean_ms(),
+            layer(&format!("store.append{CHECKPOINT_SUFFIX}")).mean_ms(),
             "ms",
         ),
         metric(
@@ -784,6 +802,7 @@ fn per_layer(o: &Observed) -> Vec<Metric> {
             "ratio",
         ),
         metric("store.open_ms", store_open, "ms"),
+        metric("store.recover_ms", o.recover_ms, "ms"),
         metric(
             "service.warm_start_ms",
             median(&o.reopen_ms) - store_open,

@@ -6,9 +6,10 @@ use std::time::{Duration, Instant};
 use memdb::Table;
 use rand::rngs::StdRng;
 use seedb_core::{AnalystQuery, Session};
+use seedb_obs::{Span, Tracer};
 
 use crate::data::{digest, user_bytes, Stream, TABLE};
-use crate::trace::{fingerprint, Replay, SpanLog};
+use crate::trace::{fingerprint, Replay, CHECKPOINT_ATTR};
 
 /// A served request kept for the cold spot-check: the query, the exact
 /// table version it was answered from, and the service's top-k.
@@ -59,7 +60,7 @@ pub struct AnalystOut {
 #[derive(Clone, Copy)]
 pub struct Tracing<'a> {
     /// Where spans go.
-    pub log: &'a SpanLog,
+    pub tracer: &'a Tracer,
     /// The layer-by-layer replay.
     pub replay: &'a Replay,
 }
@@ -91,7 +92,7 @@ pub fn analyst(
             continue;
         };
         let traced = tracing.filter(|_| window.traced(now));
-        let root = traced.map(|t| t.log.root("request"));
+        let root = traced.map(|t| t.tracer.root_span("request"));
         let call = root.as_ref().map(|r| r.child("service.recommend"));
         let t0 = Instant::now();
         let result = session.recommend(&analyst);
@@ -156,9 +157,10 @@ pub struct WriterPlan<'a> {
 /// What the writer observed.
 #[derive(Default)]
 pub struct WriterOut {
-    /// Append latencies timed from when each append was due, ms.
+    /// Append latencies outside the traced half, timed from when each
+    /// append was due, ms.
     pub latency_ms: Vec<f64>,
-    /// How late each append was sent, ms.
+    /// How late each append outside the traced half was sent, ms.
     pub late_ms: Vec<f64>,
     /// Acknowledged batches: `(first row, rows, digest)`.
     pub acked: Vec<(usize, usize, u64)>,
@@ -172,19 +174,24 @@ pub struct WriterOut {
 
 /// The writer: one fixed-size append every `1 / rate` seconds, due on a
 /// fixed schedule whatever the previous append cost. In the traced half
-/// each append is a root span `append` whose child `store.append`
-/// (renamed `store.append_ckpt` when `store.checkpoints` advanced during
-/// the call) wraps a direct `Database::append_rows` — the whole of
-/// `Session::append_rows` under the lazy refresh policy the benchmark
-/// keeps from `ServiceConfig::recommended()`.
+/// each append is a root span `append` whose child `store.append` wraps
+/// `Session::append_rows` — under the lazy refresh policy the benchmark
+/// keeps from `ServiceConfig::recommended()`, only the store's append —
+/// and carries the attribute `checkpoint` when `store.checkpoints`
+/// advanced during the call. Latencies are kept from the untraced half
+/// only, where no replay competes with the writer.
 pub fn writer(
     session: &Session,
     plan: &WriterPlan<'_>,
     window: Window,
-    log: Option<&SpanLog>,
+    tracer: Option<&Tracer>,
 ) -> WriterOut {
-    let db = session.service().database().clone();
-    let checkpoints = db.obs().registry().register_counter("store.checkpoints");
+    let checkpoints = session
+        .service()
+        .database()
+        .obs()
+        .registry()
+        .register_counter("store.checkpoints");
     let period = Duration::from_secs_f64(1.0 / plan.rate_per_s);
     let mut out = WriterOut::default();
     let mut next_row = plan.initial_rows;
@@ -204,24 +211,22 @@ pub fn writer(
             std::thread::sleep(wait);
         }
         let sent = Instant::now();
-        out.late_ms.push((sent - due).as_secs_f64() * 1e3);
         out.attempted += 1;
-        let traced = log.filter(|_| window.traced(sent));
-        let root = traced.map(|l| l.root("append"));
-        let result = match root.as_ref() {
-            Some(root) => {
-                let mut span = root.child("store.append");
-                let before = checkpoints.get();
-                let r = db.append_rows(TABLE, rows);
-                if checkpoints.get() != before {
-                    span.set_name("store.append_ckpt");
-                }
-                r
-            }
-            None => session.append_rows(TABLE, rows),
-        };
-        out.latency_ms
-            .push((Instant::now() - due).as_secs_f64() * 1e3);
+        let traced = tracer.filter(|_| window.traced(sent));
+        let root = traced.map_or_else(Span::none, |t| t.root_span("append"));
+        let span = root.child("store.append");
+        let before = checkpoints.get();
+        let result = session.append_rows(TABLE, rows);
+        if checkpoints.get() != before {
+            span.attr(CHECKPOINT_ATTR, true);
+        }
+        drop(span);
+        drop(root);
+        if traced.is_none() {
+            out.late_ms.push((sent - due).as_secs_f64() * 1e3);
+            out.latency_ms
+                .push((Instant::now() - due).as_secs_f64() * 1e3);
+        }
         match result {
             Ok(_) => {
                 out.acked.push((next_row, plan.batch_rows, sum));

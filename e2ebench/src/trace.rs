@@ -1,8 +1,8 @@
 //! The traced run's span recorder and layer replay.
 //!
-//! Spans are recorded here, in the benchmark, around direct calls into
-//! each layer's public function; nothing inside the program is
-//! instrumented. Each request gets a root span `request` (one trace id)
+//! Spans are recorded by a `Tracer` the benchmark owns, around direct
+//! calls into each layer's public function; nothing inside the program
+//! is instrumented. Each request gets a root span `request` (one trace)
 //! with a child `service.recommend` around the real service call and a
 //! child `replay` that re-runs the pipeline layer by layer on the same
 //! table version and analyst query:
@@ -28,122 +28,30 @@
 //! really did are read from its `exec.*` counter deltas.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use memdb::{cramers_v, run_batch, Database, DbResult, Table, TableStats};
 use seedb_core::{
     enumerate_views, prune, run_phased_with_group_counts, top_k, AnalystQuery, ExecutionStrategy,
     MetadataCollector, PhasedConfig, Processor, SeeDbConfig, ViewResult,
 };
+use seedb_obs::{MonotonicClock, Span, TraceData, Tracer};
 
-/// One finished span.
-#[derive(Debug, Clone)]
-pub struct SpanRec {
-    /// Span id.
-    pub id: u64,
-    /// Id of the request (root span) this span belongs to.
-    pub trace: u64,
-    /// Parent span id; `None` for a root.
-    pub parent: Option<u64>,
-    /// Layer boundary name.
-    pub name: &'static str,
-    /// Start, ns since the log's epoch.
-    pub start_ns: u64,
-    /// End, ns since the log's epoch.
-    pub end_ns: u64,
+/// Attribute that marks an append during which a checkpoint ran; such
+/// spans aggregate under their name with [`CHECKPOINT_SUFFIX`] appended.
+pub const CHECKPOINT_ATTR: &str = "checkpoint";
+/// Suffix of the layer that gathers spans marked [`CHECKPOINT_ATTR`].
+pub const CHECKPOINT_SUFFIX: &str = "_ckpt";
+
+/// The benchmark's own span recorder, enabled, keeping every trace of a
+/// run until it is aggregated.
+pub fn tracer() -> Tracer {
+    let tracer = Tracer::new(Arc::new(MonotonicClock::new()), usize::MAX);
+    tracer.set_enabled(true);
+    tracer
 }
 
-/// In-memory span store; spans are aggregated when the run ends.
-#[derive(Debug)]
-pub struct SpanLog {
-    epoch: Instant,
-    next: AtomicU64,
-    spans: Mutex<Vec<SpanRec>>,
-}
-
-impl Default for SpanLog {
-    fn default() -> Self {
-        SpanLog {
-            epoch: Instant::now(),
-            next: AtomicU64::new(1),
-            spans: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-/// An open span; recorded when dropped.
-pub struct Span<'a> {
-    log: &'a SpanLog,
-    id: u64,
-    trace: u64,
-    parent: Option<u64>,
-    name: &'static str,
-    start_ns: u64,
-}
-
-impl SpanLog {
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Open a root span (a new trace id).
-    pub fn root(&self, name: &'static str) -> Span<'_> {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        Span {
-            log: self,
-            id,
-            trace: id,
-            parent: None,
-            name,
-            start_ns: self.now_ns(),
-        }
-    }
-
-    /// Every recorded span.
-    pub fn spans(&self) -> Vec<SpanRec> {
-        self.spans.lock().expect("span log lock poisoned").clone()
-    }
-}
-
-impl Span<'_> {
-    /// Open a child span in the same trace.
-    pub fn child(&self, name: &'static str) -> Span<'_> {
-        Span {
-            log: self.log,
-            id: self.log.next.fetch_add(1, Ordering::Relaxed),
-            trace: self.trace,
-            parent: Some(self.id),
-            name,
-            start_ns: self.log.now_ns(),
-        }
-    }
-
-    /// Rename the span before it closes (for a boundary classified by
-    /// what happened inside it).
-    pub fn set_name(&mut self, name: &'static str) {
-        self.name = name;
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let rec = SpanRec {
-            id: self.id,
-            trace: self.trace,
-            parent: self.parent,
-            name: self.name,
-            start_ns: self.start_ns,
-            end_ns: self.log.now_ns(),
-        };
-        if let Ok(mut spans) = self.log.spans.lock() {
-            spans.push(rec);
-        }
-    }
-}
-
-/// Per-name totals over a span log.
+/// Per-name totals over the recorded traces.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Layer {
     /// Spans recorded.
@@ -176,20 +84,26 @@ impl Layer {
 
 /// Aggregate spans by name. A span's children run one after another on
 /// its thread, so its self time is its duration minus their sum.
-pub fn layers(spans: &[SpanRec]) -> BTreeMap<&'static str, Layer> {
-    let mut child_ns: HashMap<u64, u64> = HashMap::new();
-    for s in spans {
-        if let Some(p) = s.parent {
-            *child_ns.entry(p).or_default() += s.end_ns - s.start_ns;
+pub fn layers(traces: &[TraceData]) -> BTreeMap<String, Layer> {
+    let mut out: BTreeMap<String, Layer> = BTreeMap::new();
+    for trace in traces {
+        let mut child_ns = vec![0u64; trace.spans.len()];
+        for s in &trace.spans {
+            if let Some(p) = s.parent {
+                child_ns[p] += s.duration_ns();
+            }
         }
-    }
-    let mut out: BTreeMap<&'static str, Layer> = BTreeMap::new();
-    for s in spans {
-        let d = s.end_ns - s.start_ns;
-        let layer = out.entry(s.name).or_default();
-        layer.count += 1;
-        layer.total_ns += d;
-        layer.self_ns += d.saturating_sub(child_ns.get(&s.id).copied().unwrap_or(0));
+        for (s, children) in trace.spans.iter().zip(child_ns) {
+            let name = if s.attr(CHECKPOINT_ATTR).is_some() {
+                format!("{}{CHECKPOINT_SUFFIX}", s.name)
+            } else {
+                s.name.clone()
+            };
+            let layer = out.entry(name).or_default();
+            layer.count += 1;
+            layer.total_ns += s.duration_ns();
+            layer.self_ns += s.duration_ns().saturating_sub(children);
+        }
     }
     out
 }
@@ -271,7 +185,7 @@ impl Replay {
         analyst: &AnalystQuery,
         table: &Arc<Table>,
         expected: Option<&[(String, u64)]>,
-        parent: &Span<'_>,
+        parent: &Span,
     ) {
         let span = parent.child("replay");
         let result = self.pipeline(analyst, table, &span);
@@ -296,12 +210,7 @@ impl Replay {
         }
     }
 
-    fn pipeline(
-        &self,
-        analyst: &AnalystQuery,
-        table: &Arc<Table>,
-        span: &Span<'_>,
-    ) -> DbResult<Step> {
+    fn pipeline(&self, analyst: &AnalystQuery, table: &Arc<Table>, span: &Span) -> DbResult<Step> {
         let cfg = &self.config;
         let need_corr = cfg.compute_correlations && cfg.pruning.correlation;
         let metadata = {
