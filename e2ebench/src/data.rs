@@ -62,17 +62,28 @@ fn threshold(rng: &mut StdRng, measure: usize) -> Expr {
 }
 
 /// A pool of `size` distinct equality predicates (the "hot set" that
-/// analysts keep coming back to).
+/// analysts keep coming back to), most popular first. The pool at
+/// popularity rank `i` filters a distinct, seeded dimension on its
+/// `i % 4`-th most frequent label, so every seed's pool mixes the same
+/// subset sizes in the same popularity order: the seed only decides
+/// which dimensions are filtered on.
 pub fn hot_pool(seed: u64, shape: &Shape, size: usize) -> Vec<AnalystQuery> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut pool: Vec<AnalystQuery> = Vec::with_capacity(size);
-    while pool.len() < size {
-        let q = AnalystQuery::new(TABLE, Some(eq_pred(&mut rng, shape, 4)));
-        if !pool.iter().any(|p| p.to_sql() == q.to_sql()) {
-            pool.push(q);
-        }
+    // A seeded Fisher-Yates shuffle of the dimensions.
+    let mut dims: Vec<usize> = (0..shape.dims).collect();
+    for i in (1..dims.len()).rev() {
+        dims.swap(i, rng.gen_range(0..=i));
     }
-    pool
+    assert!(size <= dims.len(), "hot pool larger than the dimensions");
+    dims.iter()
+        .take(size)
+        .enumerate()
+        .map(|(rank, dim)| {
+            let value = rank % 4.min(shape.card);
+            let pred = Expr::col(&format!("d{dim}")).eq(format!("d{dim}_{value}"));
+            AnalystQuery::new(TABLE, Some(pred))
+        })
+        .collect()
 }
 
 /// What one analyst asks next.
@@ -86,13 +97,6 @@ pub enum Stream {
     },
     /// A fresh `dJ = v AND mI > t` every time: no key repeats.
     Distinct {
-        /// Table shape the predicates range over.
-        shape: Shape,
-    },
-    /// A fresh sub-subset `d0 = 'd0_0' AND mI > t` of the planted subset
-    /// (`mI` is never the deviating `m0`), so the planted dimensions
-    /// stay the ground truth of every request.
-    Planted {
         /// Table shape the predicates range over.
         shape: Shape,
     },
@@ -117,11 +121,6 @@ impl Stream {
                 let eq = eq_pred(rng, shape, 4);
                 let m = rng.gen_range(0..shape.measures);
                 AnalystQuery::new(TABLE, Some(eq.and(threshold(rng, m))))
-            }
-            Stream::Planted { shape } => {
-                let m = rng.gen_range(1..shape.measures.max(2));
-                let subset = Expr::col("d0").eq("d0_0");
-                AnalystQuery::new(TABLE, Some(subset.and(threshold(rng, m))))
             }
         }
     }

@@ -52,8 +52,6 @@ pub struct AnalystOut {
     pub failed: u64,
     /// Requests kept for the cold spot-check.
     pub samples: Vec<Sample>,
-    /// Σ recall of the planted dimensions in each top-k.
-    pub recall_sum: f64,
 }
 
 /// Tracing hooks of the traced half.
@@ -75,7 +73,6 @@ pub fn analyst(
     mut rng: StdRng,
     window: Window,
     tracing: Option<Tracing<'_>>,
-    ground_truth: &[String],
 ) -> AnalystOut {
     let db = session.service().database().clone();
     let mut out = AnalystOut::default();
@@ -112,13 +109,6 @@ pub fn analyst(
                 continue;
             }
         };
-        if !ground_truth.is_empty() {
-            let found = ground_truth
-                .iter()
-                .filter(|d| rec.views.iter().any(|v| &v.spec.dimension == *d))
-                .count();
-            out.recall_sum += found as f64 / ground_truth.len() as f64;
-        }
         // The service resolves the table first thing, so `table` is its
         // input unless an append landed in between. Versions only grow:
         // when the version is unchanged after the call, it surely is.

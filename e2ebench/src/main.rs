@@ -61,7 +61,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("e2ebench: {e}");
-            eprintln!("usage: --workload <browse|explore|ingest|phased> --seed <n> --seconds <s> --trace <0|1>");
+            eprintln!("usage: --workload <explore|ingest> --seed <n> --seconds <s> --trace <0|1>");
             return ExitCode::from(2);
         }
     };

@@ -15,11 +15,17 @@
 //!     ├── metadata.stats     TableStats::collect
 //!     ├── metadata.corr      cramers_v over every dimension pair
 //!     ├── pruning.prune      enumerate_views + prune
-//!     ├── optimizer.plan     optimizer::plan          (batch strategies)
-//!     ├── exec.run_batch     memdb::run_batch         (batch strategies)
-//!     ├── processor.process  Processor + top_k        (batch strategies)
-//!     └── phased.run         run_phased_with_group_counts (phased)
+//!     ├── optimizer.plan     optimizer::plan
+//!     ├── exec.run_batch     memdb::run_batch
+//!     ├── processor.process  Processor + top_k
+//!     └── phased.run         run_phased_with_group_counts (when enabled)
 //! ```
+//!
+//! No workload serves with phased execution (its two workers per phase
+//! made request latency too noisy to gate on a shared 2-vCPU host), so
+//! `phased.run` prices the phased layer on the same kept views with
+//! [`ExecutionStrategy::phased_parallel`]`(2)`, beside the strategy the
+//! service really uses.
 //!
 //! The replay executes against a private `Database` holding the same
 //! table snapshot, so its scans never touch the service's cache or its
@@ -36,6 +42,9 @@ use seedb_core::{
     MetadataCollector, PhasedConfig, Processor, SeeDbConfig, ViewResult,
 };
 use seedb_obs::{MonotonicClock, Span, TraceData, Tracer};
+
+/// Row-partition workers of the replayed phased layer.
+const PHASED_WORKERS: usize = 2;
 
 /// Attribute that marks an append during which a checkpoint ran; such
 /// spans aggregate under their name with [`CHECKPOINT_SUFFIX`] appended.
@@ -134,6 +143,8 @@ pub struct ReplayCounts {
 /// Re-runs the recommendation pipeline layer by layer.
 pub struct Replay {
     config: SeeDbConfig,
+    /// Parameters of the phased layer's replay, when it runs.
+    phased: Option<PhasedConfig>,
     collector: MetadataCollector,
     /// Private database holding the latest replayed table version.
     db: Mutex<Option<(u64, Arc<Database>)>>,
@@ -149,10 +160,28 @@ pub fn fingerprint(views: &[ViewResult]) -> Vec<(String, u64)> {
 }
 
 impl Replay {
-    /// A replay of the pipeline under `config` (the service's own).
-    pub fn new(config: SeeDbConfig) -> Replay {
+    /// A replay of the pipeline under `config` (the service's own, which
+    /// must use a batch strategy), plus the phased layer when `phased`.
+    pub fn new(config: SeeDbConfig, phased: bool) -> Replay {
+        let phased = match ExecutionStrategy::phased_parallel(PHASED_WORKERS) {
+            ExecutionStrategy::PhasedParallel {
+                phases,
+                delta,
+                min_phases,
+                workers,
+            } if phased => Some(PhasedConfig {
+                phases,
+                k: config.k,
+                delta,
+                min_phases,
+                metric: config.metric,
+                workers,
+            }),
+            _ => None,
+        };
         Replay {
             config,
+            phased,
             collector: MetadataCollector::new(),
             db: Mutex::new(None),
             counts: Mutex::new(ReplayCounts::default()),
@@ -255,26 +284,7 @@ impl Replay {
             kept: kept.len() as u64,
             ..Step::default()
         };
-        if let ExecutionStrategy::Phased {
-            phases,
-            delta,
-            min_phases,
-        }
-        | ExecutionStrategy::PhasedParallel {
-            phases,
-            delta,
-            min_phases,
-            ..
-        } = cfg.execution
-        {
-            let phased_cfg = PhasedConfig {
-                phases,
-                k: cfg.k,
-                delta,
-                min_phases,
-                metric: cfg.metric,
-                workers: cfg.execution.workers(),
-            };
+        if let Some(phased_cfg) = &self.phased {
             let mut groups = HashMap::new();
             for v in &kept {
                 if let Ok(stats) = metadata.stats.column(&v.dimension) {
@@ -282,11 +292,9 @@ impl Replay {
                 }
             }
             let _s = span.child("phased.run");
-            let out = run_phased_with_group_counts(table, analyst, &kept, &phased_cfg, &groups)?;
+            let out = run_phased_with_group_counts(table, analyst, &kept, phased_cfg, &groups)?;
             step.early_pruned = out.pruned.len() as u64;
             step.phased_survivors = out.survivors.len() as u64;
-            step.top_k = fingerprint(&out.views);
-            return Ok(step);
         }
 
         let exec_plan = {

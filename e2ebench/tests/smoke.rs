@@ -23,14 +23,18 @@ fn registered(section: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-fn tiny(workload: Workload, trace: bool) -> Report {
+/// Run `workload` at tiny size with its store under `smoke/<dir>`, a
+/// directory of the calling test's own (tests run concurrently).
+fn tiny(workload: Workload, trace: bool, dir: &str) -> Report {
     let opts = Options {
         workload,
         seed: 7,
         seconds: 1.0,
         trace,
         scale: Scale::Tiny,
-        work_dir: PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("smoke"),
+        work_dir: PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+            .join("smoke")
+            .join(dir),
     };
     run(&opts).unwrap_or_else(|e| panic!("{} run failed: {e}", workload.name()))
 }
@@ -62,13 +66,13 @@ fn assert_emits(report: &Report, section: &str, workload: Workload) {
 #[test]
 fn every_workload_emits_every_metric_without_failures() {
     for workload in Workload::ALL {
-        let report = tiny(workload, false);
+        let report = tiny(workload, false, "every-metric");
         assert_emits(&report, "end_to_end", workload);
         assert!(report.attempted > 0, "{}", workload.name());
         assert_eq!(report.failed, 0, "{}", workload.name());
         assert!(report.correct, "{}", workload.name());
 
-        let traced = tiny(workload, true);
+        let traced = tiny(workload, true, "every-metric");
         assert_emits(&traced, "per_layer", workload);
         assert_eq!(
             traced.metric("ops_failed_frac"),
@@ -82,7 +86,7 @@ fn every_workload_emits_every_metric_without_failures() {
 
 #[test]
 fn result_line_is_json_with_the_contract_keys() {
-    let line = tiny(Workload::Phased, false).to_json();
+    let line = tiny(Workload::Ingest, false, "result-line").to_json();
     let doc = serde_json::from_str(&line).expect("result line parses");
     for key in ["correct", "attempted", "failed", "metrics"] {
         assert!(doc.get(key).is_some(), "missing {key}");
