@@ -12,7 +12,7 @@
 //! * `phased` — intra-plan: phase-sliced execution with
 //!   confidence-interval pruning over a 1M-row table, sequential vs
 //!   partitioned across row workers with mergeable partial aggregates
-//!   (`run_partitioned_partial`). Outcomes are byte-identical for every
+//!   (`memdb::run_partitioned`). Outcomes are byte-identical for every
 //!   worker count; only the wall-clock should move.
 
 use std::collections::HashMap;

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use memdb::{cramers_v, DbResult, Table, TableStats};
+use memdb::{cramers_v, DbResult, RwLockExt, Table, TableStats};
 use std::sync::RwLock;
 
 /// Tracks which columns analyst queries touch, per table — the paper's
@@ -42,15 +42,14 @@ impl AccessTracker {
             .collect();
         unique.sort();
         unique.dedup();
-        let mut counts = self.counts.write().expect("tracker lock poisoned");
+        let mut counts = self.counts.write_recovered();
         let per_table = counts.entry(table.to_string()).or_default();
         for c in unique {
             *per_table.entry(c).or_insert(0) += 1;
         }
         *self
             .queries
-            .write()
-            .expect("tracker lock poisoned")
+            .write_recovered()
             .entry(table.to_string())
             .or_insert(0) += 1;
     }
@@ -58,8 +57,7 @@ impl AccessTracker {
     /// Access count for one column.
     pub fn count(&self, table: &str, column: &str) -> u64 {
         self.counts
-            .read()
-            .expect("tracker lock poisoned")
+            .read_recovered()
             .get(table)
             .and_then(|m| m.get(column))
             .copied()
@@ -69,8 +67,7 @@ impl AccessTracker {
     /// Total queries recorded against `table`.
     pub fn total_queries(&self, table: &str) -> u64 {
         self.queries
-            .read()
-            .expect("tracker lock poisoned")
+            .read_recovered()
             .get(table)
             .copied()
             .unwrap_or(0)
@@ -79,8 +76,7 @@ impl AccessTracker {
     /// Snapshot of all column counts for `table`.
     pub fn snapshot(&self, table: &str) -> HashMap<String, u64> {
         self.counts
-            .read()
-            .expect("tracker lock poisoned")
+            .read_recovered()
             .get(table)
             .cloned()
             .unwrap_or_default()
@@ -149,10 +145,10 @@ impl MetadataCollector {
         let dims = table.schema().dimensions();
         let mut dim_correlations = Vec::new();
         if compute_correlations {
-            for i in 0..dims.len() {
-                for j in (i + 1)..dims.len() {
-                    let v = cramers_v(table.column(dims[i])?, table.column(dims[j])?)?;
-                    dim_correlations.push((dims[i].to_string(), dims[j].to_string(), v));
+            for (i, a) in dims.iter().enumerate() {
+                for b in dims.iter().skip(i + 1) {
+                    let v = cramers_v(table.column(a)?, table.column(b)?)?;
+                    dim_correlations.push((a.to_string(), b.to_string(), v));
                 }
             }
         }

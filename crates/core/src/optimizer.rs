@@ -156,8 +156,8 @@ pub struct RollupCols {
 pub struct Extract {
     /// Index into the candidate view list.
     pub view_index: usize,
-    /// Which result set of the query output (0 for single queries; the
-    /// grouping-set index for [`memdb::SetsQuery`] outputs).
+    /// Which result set of the query output: the grouping-set index
+    /// (0 for single-grouping queries).
     pub result_index: usize,
     /// Target or comparison side.
     pub side: Side,
@@ -524,10 +524,7 @@ mod tests {
         cfg.memory_budget_groups = u64::MAX;
         let p = plan(&views, &analyst, &md, &cfg);
         assert_eq!(p.num_queries(), 1);
-        match p.queries[0].plan.lower().unwrap() {
-            memdb::PhysicalPlan::GroupingSets { query, .. } => assert_eq!(query.sets.len(), 3),
-            memdb::PhysicalPlan::Aggregate { .. } => panic!("expected grouping-sets plan"),
-        }
+        assert_eq!(p.queries[0].plan.lower().unwrap().query.sets.len(), 3);
     }
 
     #[test]
@@ -539,10 +536,9 @@ mod tests {
         cfg.memory_budget_groups = 1_000_000; // 5*7*9 = 315 fits
         let p = plan(&views, &analyst, &md, &cfg);
         assert_eq!(p.num_queries(), 1);
-        match p.queries[0].plan.lower().unwrap() {
-            memdb::PhysicalPlan::Aggregate { query, .. } => assert_eq!(query.group_by.len(), 3),
-            _ => panic!("expected single-grouping plan"),
-        }
+        let sets = p.queries[0].plan.lower().unwrap().query.sets;
+        assert_eq!(sets.len(), 1, "expected single-grouping plan");
+        assert_eq!(sets[0].len(), 3);
         assert!(p.queries[0]
             .extracts
             .iter()
@@ -600,10 +596,8 @@ mod tests {
         cfg.combine_target_comparison = true;
         cfg.group_by_combining = GroupByCombining::MultiGroupBy;
         let p = plan(&views, &analyst, &md, &cfg);
-        let q = match p.queries[0].plan.lower().unwrap() {
-            memdb::PhysicalPlan::Aggregate { query, .. } => query,
-            _ => panic!(),
-        };
+        let q = p.queries[0].plan.lower().unwrap().query;
+        assert_eq!(q.sets.len(), 1);
         let aliases: Vec<&str> = q
             .aggregates
             .iter()
@@ -624,10 +618,7 @@ mod tests {
         });
         let p = plan(&views, &analyst, &md, &cfg);
         for q in &p.queries {
-            match q.plan.lower().unwrap() {
-                memdb::PhysicalPlan::Aggregate { query, .. } => assert!(query.sample.is_some()),
-                memdb::PhysicalPlan::GroupingSets { query, .. } => assert!(query.sample.is_some()),
-            }
+            assert!(q.plan.lower().unwrap().is_sampled());
         }
     }
 
@@ -639,13 +630,11 @@ mod tests {
             .queries
             .iter()
             .filter(|pq| pq.extracts[0].side == Side::Target)
-            .map(|pq| match pq.plan.lower().unwrap() {
-                memdb::PhysicalPlan::Aggregate { query, .. } => query,
-                _ => panic!(),
-            })
+            .map(|pq| pq.plan.lower().unwrap().query)
             .collect();
         assert!(!target_queries.is_empty());
         for q in target_queries {
+            assert_eq!(q.sets.len(), 1);
             assert!(q.filter.is_some(), "standalone target carries WHERE");
             assert!(q.aggregates.iter().all(|a| a.filter.is_none()));
         }
@@ -658,10 +647,8 @@ mod tests {
         cfg.combine_target_comparison = true;
         let p = plan(&views, &analyst, &md, &cfg);
         for pq in &p.queries {
-            let q = match pq.plan.lower().unwrap() {
-                memdb::PhysicalPlan::Aggregate { query, .. } => query,
-                _ => panic!(),
-            };
+            let q = pq.plan.lower().unwrap().query;
+            assert_eq!(q.sets.len(), 1);
             assert!(q.filter.is_none());
             let t_agg = q
                 .aggregates

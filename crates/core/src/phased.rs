@@ -27,7 +27,7 @@
 //! Each phase executes one shared grouping-sets plan over its row
 //! slice. With [`PhasedConfig::workers`] > 1 the slice itself is split
 //! into contiguous partitions executed on `std::thread::scope` workers
-//! via [`memdb::run_partitioned_partial`], and the per-partition
+//! via [`memdb::run_partitioned`], and the per-partition
 //! [`memdb::PartialAggState`]s merge in deterministic partition order.
 //! The per-view accumulators below then fold the *unfinalized*
 //! [`memdb::AggState`]s straight out of the partial state — the same
@@ -40,9 +40,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use memdb::{
-    run_partitioned_partial, AggFunc, AggSpec, AggState, ColumnStats, DbError, DbResult,
-    LogicalPlan, Table,
+    run_partitioned, AggFunc, AggSpec, AggState, ColumnStats, DbError, DbResult, LogicalPlan, Table,
 };
+use seedb_obs::Span;
 
 use crate::distance::Metric;
 use crate::distribution::{AlignedPair, Distribution};
@@ -321,7 +321,7 @@ pub fn run_phased_with_group_counts(
         let plan = LogicalPlan::scan(table.name())
             .grouping_sets(sets, aggs)
             .sliced(lo, hi);
-        let partial = run_partitioned_partial(table, &plan.lower()?, workers)?;
+        let partial = run_partitioned(table, &plan.lower()?, workers, None, &Span::none())?;
         plans_executed += 1;
 
         // Per-set group labels, materialized once.

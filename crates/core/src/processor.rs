@@ -425,13 +425,13 @@ mod tests {
                 source: ValueSource::Column("x".into()),
             }],
         };
-        let output = PlanOutput::Aggregate(memdb::QueryOutput {
-            result: ResultSet {
+        let output = PlanOutput {
+            results: vec![ResultSet {
                 columns: vec!["d".into(), "x".into()],
                 rows: vec![],
-            },
+            }],
             stats: Default::default(),
-        });
+        };
         assert!(proc.consume(&planned, &output).is_err());
     }
 }

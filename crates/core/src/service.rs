@@ -51,9 +51,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use memdb::{
-    run_partitioned_partial_obs, AggSpec, CacheOutcome, Database, DbError, DbResult, ExecMetrics,
-    ExecStats, Expr, LogicalPlan, MutexExt, PartialAggState, PhysicalPlan, PlanOutput, Table,
-    Value,
+    run_partitioned, AggSpec, CacheOutcome, Database, DbError, DbResult, ExecMetrics, ExecStats,
+    Expr, LogicalPlan, MutexExt, PartialAggState, PhysicalPlan, PlanOutput, Query, Table, Value,
 };
 use seedb_obs::{
     Counter, FlightRecorder, HealthStatus, Histogram, MetricsSnapshot, Obs, Registry, Rule,
@@ -1090,42 +1089,19 @@ impl Session {
 /// The scan-source identity of a physical plan: plans may merge into one
 /// shared scan iff these match (same scan domain, same row order).
 fn source_key(phys: &PhysicalPlan) -> String {
-    let (filter, row_range) = match phys {
-        PhysicalPlan::Aggregate { query, row_range } => (&query.filter, row_range),
-        PhysicalPlan::GroupingSets { query, row_range } => (&query.filter, row_range),
-    };
     // The table name is included for clarity even though version stamps
     // are already globally unique per registration (the cache's version
     // check alone rules cross-table reuse out).
     format!(
         "{}|{:?}|{}",
         phys.table(),
-        row_range,
-        filter.as_ref().map(Expr::to_sql).unwrap_or_default()
+        phys.row_range,
+        phys.query
+            .filter
+            .as_ref()
+            .map(Expr::to_sql)
+            .unwrap_or_default()
     )
-}
-
-/// The source parts a combined plan must reproduce.
-fn source_parts(phys: &PhysicalPlan) -> (Option<Expr>, Option<(usize, usize)>) {
-    match phys {
-        PhysicalPlan::Aggregate { query, row_range } => (query.filter.clone(), *row_range),
-        PhysicalPlan::GroupingSets { query, row_range } => (query.filter.clone(), *row_range),
-    }
-}
-
-/// Grouping set(s) and aggregates of a physical plan.
-fn shape_parts(phys: &PhysicalPlan) -> (Vec<Vec<String>>, &[AggSpec]) {
-    match phys {
-        PhysicalPlan::Aggregate { query, .. } => (vec![query.group_by.clone()], &query.aggregates),
-        PhysicalPlan::GroupingSets { query, .. } => (query.sets.clone(), &query.aggregates),
-    }
-}
-
-/// The one scan these partitions jointly performed, for cost recording.
-fn scan_stats(partial: &PartialAggState) -> ExecStats {
-    let mut stats = *partial.stats();
-    stats.table_scans = 1;
-    stats
 }
 
 impl ServiceInner {
@@ -1235,7 +1211,7 @@ impl ServiceInner {
                 StatCounters::add(&self.stats.bypasses, 1);
                 let result = self.engine.database().run_physical(&phys);
                 if let Ok(o) = &result {
-                    self.record_op("bypass_scan", *o.stats());
+                    self.record_op("bypass_scan", o.stats);
                 }
                 fill(&mut out, i, result);
                 continue;
@@ -1428,7 +1404,7 @@ impl ServiceInner {
             // group state in the combined scan).
             let weights: Vec<u64> = members
                 .iter()
-                .map(|m| shape_parts(&m.phys).0.len().max(1) as u64)
+                .map(|m| m.phys.query.sets.len().max(1) as u64)
                 .collect();
             let bins = crate::packing::pack(&weights, self.config.max_batch_sets.max(1) as u64);
             for bin in bins {
@@ -1471,42 +1447,39 @@ impl ServiceInner {
         let Some(first) = batch.first() else {
             return;
         };
-        let (filter, row_range) = source_parts(&first.phys);
         let mut sets: Vec<Vec<String>> = Vec::new();
         let mut aggs: Vec<AggSpec> = Vec::new();
         for member in batch {
-            let (member_sets, member_aggs) = shape_parts(&member.phys);
-            for s in member_sets {
-                if !sets.contains(&s) {
-                    sets.push(s);
+            for s in &member.phys.query.sets {
+                if !sets.contains(s) {
+                    sets.push(s.clone());
                 }
             }
-            for a in member_aggs {
+            for a in &member.phys.query.aggregates {
                 if !aggs.iter().any(|b| b.state_key() == a.state_key()) {
                     aggs.push(a.clone());
                 }
             }
         }
-        let mut source = LogicalPlan::scan(table.name());
-        if let Some(f) = filter {
-            source = source.filter(f);
-        }
-        let mut merged = source.grouping_sets(sets, aggs);
-        if let Some((lo, hi)) = row_range {
-            merged = merged.sliced(lo, hi);
-        }
+        // Same scan source as every member: table, filter, row range.
+        let merged = PhysicalPlan {
+            query: Query {
+                sets,
+                aggregates: aggs,
+                ..first.phys.query.clone()
+            },
+            row_range: first.phys.row_range,
+        };
 
         let scan_span = span.child("batch_scan");
         scan_span.attr("plans", batch.len());
-        let combined = merged.lower().and_then(|phys| {
-            run_partitioned_partial_obs(
-                table,
-                &phys,
-                self.workers(),
-                Some(&self.exec_metrics),
-                &scan_span,
-            )
-        });
+        let combined = run_partitioned(
+            table,
+            &merged,
+            self.workers(),
+            Some(&self.exec_metrics),
+            &scan_span,
+        );
         drop(scan_span);
         let combined = match combined {
             Ok(c) => c,
@@ -1522,12 +1495,12 @@ impl ServiceInner {
                 return;
             }
         };
-        self.engine.database().record_stats(&scan_stats(&combined));
+        self.engine.database().record_stats(&combined.scan_stats());
         self.record_op(
             format!("batch_scan({} plans)", batch.len()),
             ExecStats {
                 cache: CacheOutcome::Miss,
-                ..scan_stats(&combined)
+                ..combined.scan_stats()
             },
         );
         StatCounters::add(&self.stats.batch_scans, 1);
@@ -1560,7 +1533,7 @@ impl ServiceInner {
         span: &Span,
     ) -> DbResult<Arc<PlanOutput>> {
         let scan_span = span.child("scan");
-        let partial = run_partitioned_partial_obs(
+        let partial = run_partitioned(
             table,
             phys,
             self.workers(),
@@ -1568,12 +1541,12 @@ impl ServiceInner {
             &scan_span,
         )?;
         drop(scan_span);
-        self.engine.database().record_stats(&scan_stats(&partial));
+        self.engine.database().record_stats(&partial.scan_stats());
         self.record_op(
             "scan",
             ExecStats {
                 cache: CacheOutcome::Miss,
-                ..scan_stats(&partial)
+                ..partial.scan_stats()
             },
         );
         self.finalize_and_cache(
@@ -1625,8 +1598,7 @@ impl ServiceInner {
         }
         let merged = (|| -> DbResult<PartialAggState> {
             let delta_state = phys.execute_partial(table, delta)?;
-            let mut delta_stats = *delta_state.stats();
-            delta_stats.table_scans = 1;
+            let delta_stats = delta_state.scan_stats();
             let mut merged = (*state.partial).clone();
             merged.merge(delta_state, table)?;
             self.engine.database().record_stats(&delta_stats);

@@ -30,6 +30,8 @@ fn in_panic_scope(rel: &str) -> bool {
     rel.starts_with("crates/memdb/src/store/")
         || rel == "crates/memdb/src/catalog.rs"
         || rel == "crates/core/src/service.rs"
+        || rel == "crates/core/src/engine.rs"
+        || rel == "crates/core/src/metadata.rs"
 }
 
 fn in_lock_scope(rel: &str) -> bool {

@@ -319,14 +319,14 @@ mod tests {
         let v = binned.column("price_bin").unwrap().get(0);
         assert_eq!(v.as_str(), Some(binning.labels[0].as_str()));
         // Binned column groups correctly through the executor.
-        let q = crate::exec::Query::aggregate(
-            "t",
-            vec!["price_bin"],
+        let plan = crate::plan::LogicalPlan::scan("t").aggregate(
+            vec!["price_bin".into()],
             vec![crate::exec::AggSpec::count_star()],
         );
-        let out = crate::exec::execute(&binned, &q).unwrap();
-        assert_eq!(out.result.num_rows(), 5);
-        assert!(out.result.rows.iter().all(|r| r[1] == Value::Int(10)));
+        let out = plan.lower().unwrap().execute(&binned).unwrap();
+        let result = out.result_set(0).unwrap();
+        assert_eq!(result.num_rows(), 5);
+        assert!(result.rows.iter().all(|r| r[1] == Value::Int(10)));
     }
 
     #[test]

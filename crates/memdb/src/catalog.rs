@@ -12,7 +12,6 @@ use seedb_obs::Obs;
 
 use crate::cost::{CostCounters, CostSnapshot};
 use crate::error::{DbError, DbResult};
-use crate::exec::{self, Query, QueryOutput, SetsOutput, SetsQuery};
 use crate::metrics::StoreMetrics;
 use crate::plan::{LogicalPlan, PhysicalPlan, PlanOutput};
 use crate::store::{self, DurabilityConfig, DurabilityState, DurabilitySummary, WalRecord};
@@ -455,28 +454,6 @@ impl Database {
         }
     }
 
-    /// Execute a single-grouping [`Query`], recording its cost.
-    ///
-    /// # Errors
-    /// Unknown table/columns, type errors, invalid query shapes.
-    pub fn run(&self, q: &Query) -> DbResult<QueryOutput> {
-        let table = self.table(&q.table)?;
-        let out = exec::execute(&table, q)?;
-        self.counters.record(&out.stats);
-        Ok(out)
-    }
-
-    /// Execute a shared-scan [`SetsQuery`], recording its cost.
-    ///
-    /// # Errors
-    /// Unknown table/columns, type errors, invalid query shapes.
-    pub fn run_sets(&self, q: &SetsQuery) -> DbResult<SetsOutput> {
-        let table = self.table(&q.table)?;
-        let out = exec::execute_sets(&table, q)?;
-        self.counters.record(&out.stats);
-        Ok(out)
-    }
-
     /// Lower and execute a [`LogicalPlan`], recording its cost.
     ///
     /// # Errors
@@ -493,17 +470,20 @@ impl Database {
     pub fn run_physical(&self, plan: &PhysicalPlan) -> DbResult<PlanOutput> {
         let table = self.table(plan.table())?;
         let out = plan.execute(&table)?;
-        self.counters.record(out.stats());
+        self.counters.record(&out.stats);
         Ok(out)
     }
 
-    /// Parse and execute a SQL string.
+    /// Parse and execute a SQL string, recording its cost.
     ///
     /// # Errors
-    /// Parse errors plus everything [`Database::run`] can return.
-    pub fn run_sql(&self, sql: &str) -> DbResult<QueryOutput> {
-        let q = crate::sql::parse_query(sql)?;
-        self.run(&q)
+    /// Parse errors plus everything [`Database::run_physical`] can
+    /// return.
+    pub fn run_sql(&self, sql: &str) -> DbResult<PlanOutput> {
+        self.run_physical(&PhysicalPlan {
+            query: crate::sql::parse_query(sql)?,
+            row_range: None,
+        })
     }
 
     /// Record externally executed work as one query (partitioned
@@ -527,9 +507,16 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{AggFunc, AggSpec};
+    use crate::exec::{AggFunc, AggSpec, Query};
     use crate::schema::{ColumnDef, Schema};
     use crate::value::DataType;
+
+    fn run(db: &Database, q: &Query) -> DbResult<PlanOutput> {
+        db.run_physical(&PhysicalPlan {
+            query: q.clone(),
+            row_range: None,
+        })
+    }
 
     fn db_with_sales() -> Database {
         let schema = Schema::new(vec![
@@ -554,8 +541,8 @@ mod tests {
             vec!["store"],
             vec![AggSpec::new(AggFunc::Sum, "amount")],
         );
-        let out = db.run(&q).unwrap();
-        assert_eq!(out.result.num_rows(), 2);
+        let out = run(&db, &q).unwrap();
+        assert_eq!(out.results[0].num_rows(), 2);
         assert_eq!(db.cost().queries, 1);
         assert_eq!(db.cost().rows_scanned, 3);
     }
@@ -564,7 +551,7 @@ mod tests {
     fn unknown_table_error() {
         let db = Database::new();
         let q = Query::aggregate("nope", vec![], vec![AggSpec::count_star()]);
-        assert!(matches!(db.run(&q), Err(DbError::UnknownTable(_))));
+        assert!(matches!(run(&db, &q), Err(DbError::UnknownTable(_))));
     }
 
     #[test]
@@ -585,7 +572,7 @@ mod tests {
     fn cost_reset() {
         let db = db_with_sales();
         let q = Query::aggregate("sales", vec!["store"], vec![AggSpec::count_star()]);
-        db.run(&q).unwrap();
+        run(&db, &q).unwrap();
         db.reset_cost();
         assert_eq!(db.cost(), CostSnapshot::default());
     }
@@ -657,7 +644,7 @@ mod tests {
         // Query results cover the appended row.
         let q = Query::aggregate("sales", vec![], vec![AggSpec::count_star()]);
         assert_eq!(
-            db.run(&q).unwrap().result.rows[0][0],
+            run(&db, &q).unwrap().results[0].rows[0][0],
             crate::value::Value::Int(4)
         );
     }
@@ -812,7 +799,7 @@ mod tests {
                     vec![AggSpec::new(AggFunc::Sum, "amount")],
                 );
                 for _ in 0..50 {
-                    let _ = reader.run(&q);
+                    let _ = run(&reader, &q);
                 }
             });
         });
@@ -834,7 +821,7 @@ mod tests {
                         vec![AggSpec::new(AggFunc::Sum, "amount")],
                     );
                     for _ in 0..50 {
-                        db.run(&q).unwrap();
+                        run(&db, &q).unwrap();
                     }
                 });
             }

@@ -4,9 +4,9 @@
 //! a single scan can serve many logical queries at once. Each
 //! [`AggRequest`] may carry its own row predicate (this is how a *target*
 //! view — aggregate over the filtered subset — and a *comparison* view —
-//! aggregate over everything — share one scan), and
-//! [`grouping_sets_scan`] maintains one hash table per grouping set so
-//! view queries with different group-by attributes also share the scan.
+//! aggregate over everything — share one scan), and the scan kernel
+//! maintains one hash table per grouping set so view queries with
+//! different group-by attributes also share the scan.
 
 use std::collections::HashMap;
 
@@ -436,29 +436,16 @@ fn check_agg_types(table: &Table, aggs: &[AggRequest]) -> DbResult<()> {
     Ok(())
 }
 
-/// Scan `rows` of `table` once, computing every grouping set in `sets`
-/// with every aggregate in `aggs`.
-///
-/// Returns one [`Grouped`] per grouping set, in input order. `rows` is the
-/// scan domain (e.g. all rows, or a sample); per-aggregate predicates
-/// further restrict which rows feed each aggregate.
+/// Scan `rows` of `table` once, accumulating every grouping set in
+/// `sets` with every aggregate in `aggs`: one mergeable [`SetAcc`] per
+/// grouping set, in input order. `rows` is the scan domain (e.g. all
+/// rows, or a sample); per-aggregate predicates further restrict which
+/// rows feed each aggregate. Partitioned execution runs this per row
+/// range, merges the accumulators, and finalizes once.
 ///
 /// # Errors
 /// Type errors for non-numeric aggregate inputs, `InvalidQuery` for empty
-/// `sets`/missing aggregate columns.
-pub fn grouping_sets_scan(
-    table: &Table,
-    rows: &[u32],
-    sets: &[Vec<usize>],
-    aggs: &[AggRequest],
-) -> DbResult<Vec<Grouped>> {
-    let accs = grouping_sets_scan_partial(table, rows, sets, aggs)?;
-    Ok(finalize_accs(accs, table, aggs))
-}
-
-/// The partial (unfinalized) form of [`grouping_sets_scan`]: one
-/// mergeable [`SetAcc`] per grouping set. Partitioned execution runs
-/// this per row range, merges the accumulators, and finalizes once.
+/// `sets`/`aggs` or missing aggregate columns.
 pub(crate) fn grouping_sets_scan_partial(
     table: &Table,
     rows: &[u32],
@@ -538,20 +525,6 @@ pub(crate) fn merge_accs(into: &mut [SetAcc], from: &[SetAcc], table: &Table) {
     }
 }
 
-/// Single-grouping-set convenience wrapper over [`grouping_sets_scan`].
-///
-/// # Errors
-/// Same as [`grouping_sets_scan`].
-pub fn aggregate_scan(
-    table: &Table,
-    rows: &[u32],
-    group_cols: &[usize],
-    aggs: &[AggRequest],
-) -> DbResult<Grouped> {
-    let mut out = grouping_sets_scan(table, rows, &[group_cols.to_vec()], aggs)?;
-    Ok(out.pop().expect("one grouping set in, one result out"))
-}
-
 /// Data type of an aggregate's output.
 pub fn agg_output_type(func: AggFunc) -> DataType {
     match func {
@@ -594,6 +567,21 @@ mod tests {
         (0..t.num_rows() as u32).collect()
     }
 
+    fn scan_sets(
+        t: &Table,
+        rows: &[u32],
+        sets: &[Vec<usize>],
+        aggs: &[AggRequest],
+    ) -> DbResult<Vec<Grouped>> {
+        let accs = grouping_sets_scan_partial(t, rows, sets, aggs)?;
+        Ok(finalize_accs(accs, t, aggs))
+    }
+
+    fn scan_one(t: &Table, rows: &[u32], cols: &[usize], aggs: &[AggRequest]) -> DbResult<Grouped> {
+        let mut out = scan_sets(t, rows, &[cols.to_vec()], aggs)?;
+        Ok(out.remove(0))
+    }
+
     #[test]
     fn sum_by_store() {
         let t = sales();
@@ -602,7 +590,7 @@ mod tests {
             column: Some(2),
             predicate: None,
         }];
-        let g = aggregate_scan(&t, &all_rows(&t), &[0], &aggs).unwrap();
+        let g = scan_one(&t, &all_rows(&t), &[0], &aggs).unwrap();
         assert_eq!(
             g.keys,
             vec![
@@ -636,7 +624,7 @@ mod tests {
                 predicate: None,
             },
         ];
-        let g = aggregate_scan(&t, &all_rows(&t), &[1], &aggs).unwrap();
+        let g = scan_one(&t, &all_rows(&t), &[1], &aggs).unwrap();
         // Laserwave: 3 rows, Saberwave: 2 rows.
         assert_eq!(g.values[0], vec![Value::Int(3), Value::Int(3)]);
         assert_eq!(g.values[1], vec![Value::Int(2), Value::Int(2)]);
@@ -653,7 +641,7 @@ mod tests {
                 predicate: None,
             })
             .collect();
-        let g = aggregate_scan(&t, &all_rows(&t), &[1], &aggs).unwrap();
+        let g = scan_one(&t, &all_rows(&t), &[1], &aggs).unwrap();
         // Laserwave amounts: 10, 30, 40.
         assert_eq!(
             g.values[0],
@@ -686,7 +674,7 @@ mod tests {
                 predicate: None,
             },
         ];
-        let g = aggregate_scan(&t, &all_rows(&t), &[0], &aggs).unwrap();
+        let g = scan_one(&t, &all_rows(&t), &[0], &aggs).unwrap();
         // MA: target 10 (one Laserwave row), comparison 30.
         assert_eq!(g.values[0], vec![Value::Float(10.0), Value::Float(30.0)]);
         // NY: no Laserwave rows -> NULL target, comparison 50.
@@ -703,7 +691,7 @@ mod tests {
             column: Some(2),
             predicate: None,
         }];
-        let out = grouping_sets_scan(&t, &all_rows(&t), &[vec![0], vec![1]], &aggs).unwrap();
+        let out = scan_sets(&t, &all_rows(&t), &[vec![0], vec![1]], &aggs).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].num_groups(), 3); // stores
         assert_eq!(out[1].num_groups(), 2); // products
@@ -718,7 +706,7 @@ mod tests {
             column: None,
             predicate: None,
         }];
-        let g = aggregate_scan(&t, &all_rows(&t), &[0, 1], &aggs).unwrap();
+        let g = scan_one(&t, &all_rows(&t), &[0, 1], &aggs).unwrap();
         assert_eq!(g.num_groups(), 4); // (MA,L), (MA,S), (NY,S), (WA,L)
         assert_eq!(g.keys[0], vec![Value::from("MA"), Value::from("Laserwave")]);
     }
@@ -732,7 +720,7 @@ mod tests {
             predicate: None,
         }];
         // Only rows 0 and 4.
-        let g = aggregate_scan(&t, &[0, 4], &[0], &aggs).unwrap();
+        let g = scan_one(&t, &[0, 4], &[0], &aggs).unwrap();
         assert_eq!(g.num_groups(), 2);
         assert_eq!(g.keys[0], vec![Value::from("MA")]);
         assert_eq!(g.values[0], vec![Value::Float(10.0)]);
@@ -754,7 +742,7 @@ mod tests {
             column: Some(1),
             predicate: None,
         }];
-        let g = aggregate_scan(&t, &all_rows(&t), &[0], &aggs).unwrap();
+        let g = scan_one(&t, &all_rows(&t), &[0], &aggs).unwrap();
         assert_eq!(g.num_groups(), 2);
         assert_eq!(g.keys[0], vec![Value::Null]);
         assert_eq!(g.values[0], vec![Value::Float(4.0)]);
@@ -787,7 +775,7 @@ mod tests {
                 predicate: None,
             },
         ];
-        let g = aggregate_scan(&t, &all_rows(&t), &[0], &aggs).unwrap();
+        let g = scan_one(&t, &all_rows(&t), &[0], &aggs).unwrap();
         assert_eq!(
             g.values[0],
             vec![Value::Int(1), Value::Int(2), Value::Float(2.0)]
@@ -802,7 +790,7 @@ mod tests {
             column: Some(0),
             predicate: None,
         }];
-        assert!(aggregate_scan(&t, &all_rows(&t), &[1], &aggs).is_err());
+        assert!(scan_one(&t, &all_rows(&t), &[1], &aggs).is_err());
     }
 
     #[test]
@@ -813,8 +801,8 @@ mod tests {
             column: None,
             predicate: None,
         }];
-        assert!(grouping_sets_scan(&t, &all_rows(&t), &[], &aggs).is_err());
-        assert!(grouping_sets_scan(&t, &all_rows(&t), &[vec![0]], &[]).is_err());
+        assert!(scan_sets(&t, &all_rows(&t), &[], &aggs).is_err());
+        assert!(scan_sets(&t, &all_rows(&t), &[vec![0]], &[]).is_err());
     }
 
     #[test]
@@ -825,7 +813,7 @@ mod tests {
             column: Some(2),
             predicate: None,
         }];
-        let g = aggregate_scan(&t, &all_rows(&t), &[], &aggs).unwrap();
+        let g = scan_one(&t, &all_rows(&t), &[], &aggs).unwrap();
         assert_eq!(g.num_groups(), 1);
         assert_eq!(g.keys[0], Vec::<Value>::new());
         assert_eq!(g.values[0], vec![Value::Float(150.0)]);
@@ -839,7 +827,7 @@ mod tests {
             column: None,
             predicate: None,
         }];
-        let g = aggregate_scan(&t, &all_rows(&t), &[3], &aggs).unwrap();
+        let g = scan_one(&t, &all_rows(&t), &[3], &aggs).unwrap();
         assert_eq!(g.num_groups(), 5);
         assert_eq!(g.keys[0], vec![Value::Int(1)]);
     }

@@ -1,9 +1,10 @@
 //! Query representation and execution.
 //!
-//! A [`Query`] is a single `SELECT ... FROM t [WHERE ...] [GROUP BY ...]`
-//! over one table; a [`SetsQuery`] is the shared-scan variant that
-//! evaluates several grouping sets in one pass (SeeDB's "combine multiple
-//! group-bys" rewrite). Execution returns a [`ResultSet`] plus
+//! A [`Query`] is one shared scan over one table that evaluates one or
+//! more grouping sets in a single pass: a plain `SELECT ... FROM t
+//! [WHERE ...] [GROUP BY ...]` is its one-set case, and several sets are
+//! SeeDB's "combine multiple group-bys" rewrite. Execution (through
+//! [`crate::plan::PhysicalPlan`]) yields one [`ResultSet`] per set plus
 //! [`ExecStats`] for cost accounting.
 
 pub mod aggregate;
@@ -97,28 +98,30 @@ impl AggSpec {
     }
 }
 
-/// A single-grouping query over one table.
+/// A shared-scan aggregate query over one table: every grouping set is
+/// computed with every aggregate in one pass.
 #[derive(Debug, Clone)]
 pub struct Query {
     /// Target table name.
     pub table: String,
     /// Scan-level filter (`WHERE`): rows failing it contribute to nothing.
     pub filter: Option<Expr>,
-    /// Grouping attributes; empty = one global group.
-    pub group_by: Vec<String>,
-    /// Aggregates to compute.
+    /// The grouping sets; each produces its own [`ResultSet`]. An empty
+    /// set is one global group.
+    pub sets: Vec<Vec<String>>,
+    /// Aggregates to compute (for every set).
     pub aggregates: Vec<AggSpec>,
     /// Optional sampling of the scan domain.
     pub sample: Option<SampleSpec>,
 }
 
 impl Query {
-    /// `SELECT <aggs> FROM table GROUP BY <group_by>`.
+    /// `SELECT <aggs> FROM table GROUP BY <group_by>` — the one-set case.
     pub fn aggregate(table: &str, group_by: Vec<&str>, aggregates: Vec<AggSpec>) -> Self {
         Query {
             table: table.to_string(),
             filter: None,
-            group_by: group_by.into_iter().map(str::to_string).collect(),
+            sets: vec![group_by.into_iter().map(str::to_string).collect()],
             aggregates,
             sample: None,
         }
@@ -136,9 +139,21 @@ impl Query {
         self
     }
 
-    /// Render as SQL text (for logs and the demo frontend).
+    /// Render as SQL text (for logs and the demo frontend). Several
+    /// sets render as `GROUP BY GROUPING SETS (...)`.
     pub fn to_sql(&self) -> String {
-        let mut select: Vec<String> = self.group_by.clone();
+        let mut select: Vec<String> = match self.sets.as_slice() {
+            [set] => set.clone(),
+            sets => {
+                let mut cols: Vec<String> = Vec::new();
+                for c in sets.iter().flatten() {
+                    if !cols.contains(c) {
+                        cols.push(c.clone());
+                    }
+                }
+                cols
+            }
+        };
         for a in &self.aggregates {
             let base = match &a.column {
                 Some(c) => format!("{}({})", a.func.sql(), c),
@@ -157,43 +172,17 @@ impl Query {
         if let Some(f) = &self.filter {
             sql.push_str(&format!(" WHERE {}", f.to_sql()));
         }
-        if !self.group_by.is_empty() {
-            sql.push_str(&format!(" GROUP BY {}", self.group_by.join(", ")));
+        match self.sets.as_slice() {
+            [set] if set.is_empty() => {}
+            [set] => sql.push_str(&format!(" GROUP BY {}", set.join(", "))),
+            sets => {
+                let sets: Vec<String> =
+                    sets.iter().map(|s| format!("({})", s.join(", "))).collect();
+                sql.push_str(&format!(" GROUP BY GROUPING SETS ({})", sets.join(", ")));
+            }
         }
         sql
     }
-
-    /// All column names this query touches (for access-frequency stats).
-    pub fn referenced_columns(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.group_by.clone();
-        for a in &self.aggregates {
-            if let Some(c) = &a.column {
-                out.push(c.clone());
-            }
-            if let Some(f) = &a.filter {
-                out.extend(f.referenced_columns().iter().map(|s| s.to_string()));
-            }
-        }
-        if let Some(f) = &self.filter {
-            out.extend(f.referenced_columns().iter().map(|s| s.to_string()));
-        }
-        out
-    }
-}
-
-/// A shared-scan query evaluating several grouping sets at once.
-#[derive(Debug, Clone)]
-pub struct SetsQuery {
-    /// Target table name.
-    pub table: String,
-    /// Scan-level filter.
-    pub filter: Option<Expr>,
-    /// The grouping sets; each produces its own [`ResultSet`].
-    pub sets: Vec<Vec<String>>,
-    /// Aggregates (computed for every set).
-    pub aggregates: Vec<AggSpec>,
-    /// Optional sampling of the scan domain.
-    pub sample: Option<SampleSpec>,
 }
 
 /// Tabular query output.
@@ -335,24 +324,6 @@ impl ExecStats {
     }
 }
 
-/// Result + stats for a single-grouping query.
-#[derive(Debug, Clone)]
-pub struct QueryOutput {
-    /// The result table.
-    pub result: ResultSet,
-    /// Cost figures.
-    pub stats: ExecStats,
-}
-
-/// Results + stats for a shared-scan multi-set query.
-#[derive(Debug, Clone)]
-pub struct SetsOutput {
-    /// One result per grouping set, in input order.
-    pub results: Vec<ResultSet>,
-    /// Cost figures for the one shared scan.
-    pub stats: ExecStats,
-}
-
 pub(crate) fn resolve_aggs(table: &Table, aggs: &[AggSpec]) -> DbResult<Vec<AggRequest>> {
     aggs.iter()
         .map(|a| {
@@ -422,125 +393,25 @@ pub(crate) fn grouped_to_result(group_by: &[String], aggs: &[AggSpec], g: Groupe
     ResultSet { columns, rows }
 }
 
-/// Execute a [`Query`] against a table.
-///
-/// # Errors
-/// Unknown columns, type errors, or invalid query shapes.
-pub fn execute(table: &Table, q: &Query) -> DbResult<QueryOutput> {
-    execute_ranged(table, q, None)
-}
-
-/// Execute a [`Query`] over an optional row slice of the table (the
-/// plan layer's scan-domain restriction; see [`crate::plan`]).
-///
-/// # Errors
-/// Unknown columns, type errors, or invalid query shapes.
-pub fn execute_ranged(
-    table: &Table,
-    q: &Query,
-    row_range: Option<(usize, usize)>,
-) -> DbResult<QueryOutput> {
-    let start = Instant::now();
-    let group_cols: Vec<usize> = q
-        .group_by
-        .iter()
-        .map(|c| table.schema().index_of(c))
-        .collect::<DbResult<_>>()?;
-    let aggs = resolve_aggs(table, &q.aggregates)?;
-    if aggs.is_empty() {
-        return Err(DbError::InvalidQuery(
-            "queries must compute at least one aggregate".to_string(),
-        ));
-    }
-    let (rows, scanned) = scan_domain(table, q.filter.as_ref(), q.sample.as_ref(), row_range)?;
-    let matched = rows.len() as u64;
-    let grouped = aggregate::aggregate_scan(table, &rows, &group_cols, &aggs)?;
-    let groups = grouped.num_groups() as u64;
-    let result = grouped_to_result(&q.group_by, &q.aggregates, grouped);
-    Ok(QueryOutput {
-        result,
-        stats: ExecStats {
-            rows_scanned: scanned,
-            rows_matched: matched,
-            table_scans: 1,
-            groups_emitted: groups,
-            partitions: 1,
-            elapsed: start.elapsed(),
-            ..ExecStats::default()
-        },
-    })
-}
-
-/// Unfinalized output of a partial execution: mergeable per-set
-/// accumulators plus the scan's cost figures.
+/// Unfinalized output of a scan: mergeable per-set accumulators plus
+/// the scan's cost figures.
 pub(crate) struct RawPartial {
     pub(crate) accs: Vec<aggregate::SetAcc>,
     pub(crate) stats: ExecStats,
 }
 
-fn check_not_sampled(sample: Option<&SampleSpec>) -> DbResult<()> {
-    if sample.is_some() {
-        return Err(DbError::InvalidQuery(
-            "sampled queries cannot be executed partially: the sampled row domain \
-             depends on the scanned range, so per-partition samples do not compose"
-                .to_string(),
-        ));
-    }
-    Ok(())
-}
-
-/// Execute a [`Query`] over a row slice *without finalizing*: returns
-/// mergeable per-group aggregate state (one grouping set).
+/// Scan `q` over an optional row slice of `table` — sampled if `q`
+/// samples — without finalizing. Every execution path goes through
+/// this one scan (see [`crate::plan::PhysicalPlan`]).
 ///
 /// # Errors
-/// Unknown columns, type errors, invalid query shapes, or a sampled
-/// query (sampling does not compose across partitions).
-pub(crate) fn execute_partial_ranged(
+/// Unknown columns, type errors, or invalid query shapes.
+pub(crate) fn scan(
     table: &Table,
     q: &Query,
     row_range: Option<(usize, usize)>,
 ) -> DbResult<RawPartial> {
     let start = Instant::now();
-    check_not_sampled(q.sample.as_ref())?;
-    let group_cols: Vec<usize> = q
-        .group_by
-        .iter()
-        .map(|c| table.schema().index_of(c))
-        .collect::<DbResult<_>>()?;
-    let aggs = resolve_aggs(table, &q.aggregates)?;
-    if aggs.is_empty() {
-        return Err(DbError::InvalidQuery(
-            "queries must compute at least one aggregate".to_string(),
-        ));
-    }
-    let (rows, scanned) = scan_domain(table, q.filter.as_ref(), None, row_range)?;
-    let matched = rows.len() as u64;
-    let accs = aggregate::grouping_sets_scan_partial(table, &rows, &[group_cols], &aggs)?;
-    Ok(RawPartial {
-        accs,
-        stats: ExecStats {
-            rows_scanned: scanned,
-            rows_matched: matched,
-            table_scans: 1,
-            groups_emitted: 0,
-            partitions: 1,
-            elapsed: start.elapsed(),
-            ..ExecStats::default()
-        },
-    })
-}
-
-/// Execute a [`SetsQuery`] over a row slice *without finalizing*.
-///
-/// # Errors
-/// Same as [`execute_partial_ranged`].
-pub(crate) fn execute_sets_partial_ranged(
-    table: &Table,
-    q: &SetsQuery,
-    row_range: Option<(usize, usize)>,
-) -> DbResult<RawPartial> {
-    let start = Instant::now();
-    check_not_sampled(q.sample.as_ref())?;
     let sets: Vec<Vec<usize>> = q
         .sets
         .iter()
@@ -551,7 +422,12 @@ pub(crate) fn execute_sets_partial_ranged(
         })
         .collect::<DbResult<_>>()?;
     let aggs = resolve_aggs(table, &q.aggregates)?;
-    let (rows, scanned) = scan_domain(table, q.filter.as_ref(), None, row_range)?;
+    if aggs.is_empty() {
+        return Err(DbError::InvalidQuery(
+            "queries must compute at least one aggregate".to_string(),
+        ));
+    }
+    let (rows, scanned) = scan_domain(table, q.filter.as_ref(), q.sample.as_ref(), row_range)?;
     let matched = rows.len() as u64;
     let accs = aggregate::grouping_sets_scan_partial(table, &rows, &sets, &aggs)?;
     Ok(RawPartial {
@@ -560,59 +436,6 @@ pub(crate) fn execute_sets_partial_ranged(
             rows_scanned: scanned,
             rows_matched: matched,
             table_scans: 1,
-            groups_emitted: 0,
-            partitions: 1,
-            elapsed: start.elapsed(),
-            ..ExecStats::default()
-        },
-    })
-}
-
-/// Execute a [`SetsQuery`]: one scan, many grouping sets.
-///
-/// # Errors
-/// Unknown columns, type errors, or invalid query shapes.
-pub fn execute_sets(table: &Table, q: &SetsQuery) -> DbResult<SetsOutput> {
-    execute_sets_ranged(table, q, None)
-}
-
-/// Execute a [`SetsQuery`] over an optional row slice of the table.
-///
-/// # Errors
-/// Unknown columns, type errors, or invalid query shapes.
-pub fn execute_sets_ranged(
-    table: &Table,
-    q: &SetsQuery,
-    row_range: Option<(usize, usize)>,
-) -> DbResult<SetsOutput> {
-    let start = Instant::now();
-    let sets: Vec<Vec<usize>> = q
-        .sets
-        .iter()
-        .map(|set| {
-            set.iter()
-                .map(|c| table.schema().index_of(c))
-                .collect::<DbResult<Vec<usize>>>()
-        })
-        .collect::<DbResult<_>>()?;
-    let aggs = resolve_aggs(table, &q.aggregates)?;
-    let (rows, scanned) = scan_domain(table, q.filter.as_ref(), q.sample.as_ref(), row_range)?;
-    let matched = rows.len() as u64;
-    let grouped = aggregate::grouping_sets_scan(table, &rows, &sets, &aggs)?;
-    let groups: u64 = grouped.iter().map(|g| g.num_groups() as u64).sum();
-    let results = q
-        .sets
-        .iter()
-        .zip(grouped)
-        .map(|(set, g)| grouped_to_result(set, &q.aggregates, g))
-        .collect();
-    Ok(SetsOutput {
-        results,
-        stats: ExecStats {
-            rows_scanned: scanned,
-            rows_matched: matched,
-            table_scans: 1,
-            groups_emitted: groups,
             partitions: 1,
             elapsed: start.elapsed(),
             ..ExecStats::default()
@@ -623,8 +446,17 @@ pub fn execute_sets_ranged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{PhysicalPlan, PlanOutput};
     use crate::schema::{ColumnDef, Schema};
     use crate::value::DataType;
+
+    fn execute(table: &Table, q: &Query) -> DbResult<PlanOutput> {
+        PhysicalPlan {
+            query: q.clone(),
+            row_range: None,
+        }
+        .execute(table)
+    }
 
     fn sales() -> Table {
         let schema = Schema::new(vec![
@@ -654,8 +486,8 @@ mod tests {
             vec![AggSpec::new(AggFunc::Sum, "amount")],
         );
         let out = execute(&t, &q).unwrap();
-        assert_eq!(out.result.columns, vec!["store", "SUM(amount)"]);
-        assert_eq!(out.result.num_rows(), 3);
+        assert_eq!(out.results[0].columns, vec!["store", "SUM(amount)"]);
+        assert_eq!(out.results[0].num_rows(), 3);
         assert_eq!(out.stats.rows_scanned, 4);
         assert_eq!(out.stats.table_scans, 1);
         assert_eq!(out.stats.groups_emitted, 3);
@@ -671,9 +503,9 @@ mod tests {
         )
         .with_filter(Expr::col("product").eq("Laserwave"));
         let out = execute(&t, &q).unwrap();
-        assert_eq!(out.result.num_rows(), 2); // MA, WA only
-                                              // Cost: the filter is evaluated inside the scan, so all 4 rows
-                                              // are charged.
+        assert_eq!(out.results[0].num_rows(), 2); // MA, WA only
+                                                  // Cost: the filter is evaluated inside the scan, so all 4 rows
+                                                  // are charged.
         assert_eq!(out.stats.rows_scanned, 4);
     }
 
@@ -691,8 +523,11 @@ mod tests {
             ],
         );
         let out = execute(&t, &q).unwrap();
-        assert_eq!(out.result.columns, vec!["store", "target", "comparison"]);
-        let ma = &out.result.rows[0];
+        assert_eq!(
+            out.results[0].columns,
+            vec!["store", "target", "comparison"]
+        );
+        let ma = &out.results[0].rows[0];
         assert_eq!(ma[1], Value::Float(10.0));
         assert_eq!(ma[2], Value::Float(30.0));
     }
@@ -700,18 +535,19 @@ mod tests {
     #[test]
     fn sets_query_shares_one_scan() {
         let t = sales();
-        let q = SetsQuery {
-            table: "sales".into(),
-            filter: None,
+        let q = Query {
             sets: vec![vec!["store".into()], vec!["product".into()]],
-            aggregates: vec![AggSpec::new(AggFunc::Sum, "amount")],
-            sample: None,
+            ..Query::aggregate("sales", vec![], vec![AggSpec::new(AggFunc::Sum, "amount")])
         };
-        let out = execute_sets(&t, &q).unwrap();
+        let out = execute(&t, &q).unwrap();
         assert_eq!(out.results.len(), 2);
         assert_eq!(out.stats.table_scans, 1);
         assert_eq!(out.stats.rows_scanned, 4);
         assert_eq!(out.stats.groups_emitted, 3 + 2);
+        assert_eq!(
+            q.to_sql(),
+            "SELECT store, product, SUM(amount) FROM sales GROUP BY GROUPING SETS ((store), (product))"
+        );
     }
 
     #[test]
@@ -744,23 +580,10 @@ mod tests {
             vec![AggSpec::new(AggFunc::Sum, "amount")],
         );
         let out = execute(&t, &q).unwrap();
-        let text = out.result.to_text();
+        let text = out.results[0].to_text();
         assert!(text.contains("store"));
         assert!(text.contains("MA"));
         assert!(text.lines().count() >= 5);
-    }
-
-    #[test]
-    fn referenced_columns_cover_all_clauses() {
-        let q = Query::aggregate(
-            "sales",
-            vec!["store"],
-            vec![AggSpec::new(AggFunc::Sum, "amount").with_filter(Expr::col("product").eq("x"))],
-        )
-        .with_filter(Expr::col("region").eq("east"));
-        let mut cols = q.referenced_columns();
-        cols.sort();
-        assert_eq!(cols, vec!["amount", "product", "region", "store"]);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * Bernoulli and reservoir sampling ([`sample`]);
 //! * a typed logical/physical plan layer the optimizer targets, lowering
 //!   onto those shared-scan primitives ([`plan`]);
-//! * parallel batch execution of plans ([`parallel`]);
+//! * parallel execution of plans, across plans and across row
+//!   partitions of one plan ([`parallel`]);
 //! * table/column statistics and association measures ([`stats`]);
 //! * deterministic cost accounting ([`cost`]);
 //! * a SQL subset parser for the analyst-facing text box ([`sql`]);
@@ -30,7 +31,7 @@
 //! ## Example
 //!
 //! ```
-//! use memdb::{Database, Table, Schema, ColumnDef, DataType, Query, AggSpec, AggFunc, Expr};
+//! use memdb::{Database, Table, Schema, ColumnDef, DataType, LogicalPlan, AggSpec, AggFunc, Expr};
 //!
 //! let schema = Schema::new(vec![
 //!     ColumnDef::dimension("store", DataType::Str),
@@ -44,10 +45,11 @@
 //! let db = Database::new();
 //! db.register(sales);
 //!
-//! let q = Query::aggregate("sales", vec!["store"], vec![AggSpec::new(AggFunc::Sum, "amount")])
-//!     .with_filter(Expr::col("product").eq("Laserwave"));
-//! let out = db.run(&q).unwrap();
-//! assert_eq!(out.result.num_rows(), 2);
+//! let plan = LogicalPlan::scan("sales")
+//!     .filter(Expr::col("product").eq("Laserwave"))
+//!     .aggregate(vec!["store".into()], vec![AggSpec::new(AggFunc::Sum, "amount")]);
+//! let out = db.execute_plan(&plan).unwrap();
+//! assert_eq!(out.result_set(0).unwrap().num_rows(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -79,15 +81,10 @@ pub use catalog::Database;
 pub use column::{Column, StrDict};
 pub use cost::{CostCounters, CostSnapshot};
 pub use error::{DbError, DbResult};
-pub use exec::{
-    AggFunc, AggSpec, AggState, CacheOutcome, ExactSum, ExecStats, Query, QueryOutput, ResultSet,
-    SetsOutput, SetsQuery,
-};
+pub use exec::{AggFunc, AggSpec, AggState, CacheOutcome, ExactSum, ExecStats, Query, ResultSet};
 pub use expr::{CmpOp, Expr};
 pub use metrics::{ExecMetrics, StoreMetrics};
-pub use parallel::{
-    run_batch, run_partitioned, run_partitioned_partial, run_partitioned_partial_obs, BatchOutput,
-};
+pub use parallel::{run_batch, run_partitioned, BatchOutput};
 pub use plan::{LogicalPlan, PartialAggState, PhysicalPlan, PlanOutput};
 pub use sample::{sample_rows, SampleSpec};
 pub use schema::{ColumnDef, Role, Schema, Semantic};

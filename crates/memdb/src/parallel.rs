@@ -12,12 +12,15 @@
 //! shared-scan plan is split into contiguous row ranges, each range is
 //! executed on its own `std::thread::scope` worker via
 //! [`PhysicalPlan::execute_partial`], and the per-partition
-//! [`PartialAggState`]s are merged in ascending partition order before a
-//! single finalize. Because every aggregate component is associative
+//! [`PartialAggState`]s are merged in ascending partition order. The
+//! caller finalizes the merged state once (the serving layer caches it
+//! unfinalized first; phased execution folds it into per-view
+//! accumulators). Because every aggregate component is associative
 //! (SUM/AVG through exact order-independent summation,
-//! [`crate::exec::ExactSum`]), the output is **byte-identical** to
-//! single-threaded [`PhysicalPlan::execute`] for every worker count and
-//! partition shape — `tests/plan_equivalence.rs` holds it to that.
+//! [`crate::exec::ExactSum`]), the finalized output is
+//! **byte-identical** to single-threaded [`PhysicalPlan::execute`] for
+//! every worker count and partition shape — `tests/plan_equivalence.rs`
+//! holds it to that.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -105,34 +108,19 @@ pub fn run_batch(db: &Database, plans: &[LogicalPlan], workers: usize) -> BatchO
     }
 }
 
-/// Execute one already-lowered plan across `workers` row partitions,
-/// merging partial aggregate states in partition order, without
-/// finalizing. This is the reusable core of [`run_partitioned`]; phased
-/// execution (`seedb-core`) folds the returned state into its per-view
-/// accumulators directly instead of re-parsing finalized rows.
-///
-/// # Errors
-/// Unknown columns, type errors, or a sampled plan (sampling does not
-/// compose across partitions — callers should fall back to
-/// [`PhysicalPlan::execute`]).
-pub fn run_partitioned_partial(
-    table: &Table,
-    plan: &PhysicalPlan,
-    workers: usize,
-) -> DbResult<PartialAggState> {
-    run_partitioned_partial_obs(table, plan, workers, None, &Span::none())
-}
-
-/// [`run_partitioned_partial`] with observability: each partition's
+/// Execute one already-lowered plan across `workers` contiguous row
+/// partitions, merging the partial aggregate states in ascending
+/// partition order, without finalizing. Each partition's
 /// `execute_partial` gets a child span under `span` (carrying its
-/// partition index and row count), the ascending merge gets one `merge`
-/// span, and partition fan-out / merge counts land in `metrics`. Both
-/// are free to be absent (`None` / [`Span::none`]) — the plain entry
-/// point delegates here with exactly that.
+/// partition index and row count), the merge gets one `merge` span, and
+/// partition fan-out / merge counts and merge time land in `metrics`.
+/// Both may be absent (`None` / [`Span::none`]).
 ///
 /// # Errors
-/// Same as [`run_partitioned_partial`].
-pub fn run_partitioned_partial_obs(
+/// Unknown columns, type errors, or a sampled plan (`InvalidQuery`:
+/// sampling does not compose across partitions — execute such plans
+/// with [`PhysicalPlan::execute`]).
+pub fn run_partitioned(
     table: &Table,
     plan: &PhysicalPlan,
     workers: usize,
@@ -199,34 +187,10 @@ pub fn run_partitioned_partial_obs(
     Ok(merged)
 }
 
-/// Execute a single plan with intra-plan parallelism: the scan is split
-/// into `workers` contiguous row ranges executed concurrently, and the
-/// partial aggregate states are merged deterministically (ascending
-/// partition order) before one finalize. The result is byte-identical
-/// to single-threaded execution; cost counters record the full scan
-/// domain. Sampled plans cannot be partitioned and fall back to a
-/// plain single-threaded execution.
-///
-/// # Errors
-/// Malformed plans (`InvalidQuery`), unknown table/columns, type errors.
-pub fn run_partitioned(db: &Database, plan: &LogicalPlan, workers: usize) -> DbResult<PlanOutput> {
-    let phys = plan.lower()?;
-    if phys.is_sampled() || workers <= 1 {
-        return db.run_physical(&phys);
-    }
-    let start = Instant::now();
-    let table = db.table(phys.table())?;
-    let mut out = run_partitioned_partial(&table, &phys, workers)?.finalize(&table)?;
-    // Merged stats carry summed per-worker scan time; report the
-    // actual wall clock like a single-threaded execution would.
-    out.stats_mut().elapsed = start.elapsed();
-    db.record_stats(out.stats());
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DbError;
     use crate::exec::{AggFunc, AggSpec};
     use crate::schema::{ColumnDef, Schema};
     use crate::table::Table;
@@ -272,12 +236,7 @@ mod tests {
         let par = run_batch(&db, &ps, 4);
         assert_eq!(seq.outputs.len(), 8);
         for (a, b) in seq.outputs.iter().zip(par.outputs.iter()) {
-            match (a.as_ref().unwrap(), b.as_ref().unwrap()) {
-                (PlanOutput::Aggregate(x), PlanOutput::Aggregate(y)) => {
-                    assert_eq!(x.result, y.result);
-                }
-                _ => panic!("shape mismatch"),
-            }
+            assert_eq!(a.as_ref().unwrap().results, b.as_ref().unwrap().results);
         }
     }
 
@@ -311,10 +270,16 @@ mod tests {
             vec![AggSpec::new(AggFunc::Sum, "m")],
         )];
         let out = run_batch(&db, &ps, 2);
-        match out.outputs[0].as_ref().unwrap() {
-            PlanOutput::GroupingSets(s) => assert_eq!(s.results.len(), 2),
-            _ => panic!("expected grouping-sets output"),
-        }
+        assert_eq!(out.outputs[0].as_ref().unwrap().results.len(), 2);
+    }
+
+    /// Partitioned execution of `plan`, finalized once.
+    fn partitioned(table: &Table, plan: &LogicalPlan, workers: usize) -> PlanOutput {
+        let phys = plan.lower().unwrap();
+        run_partitioned(table, &phys, workers, None, &Span::none())
+            .unwrap()
+            .finalize(table)
+            .unwrap()
     }
 
     fn assert_outputs_bitwise_eq(a: &PlanOutput, b: &PlanOutput) {
@@ -365,7 +330,7 @@ mod tests {
         for plan in [filtered, sets, sliced] {
             let single = plan.lower().unwrap().execute(&table).unwrap();
             for workers in [2usize, 3, 4, 7, 1000] {
-                let partitioned = run_partitioned(&db, &plan, workers).unwrap();
+                let partitioned = partitioned(&table, &plan, workers);
                 assert_outputs_bitwise_eq(&single, &partitioned);
             }
         }
@@ -402,7 +367,7 @@ mod tests {
             let plan = if flip { plan.sliced(1, 64) } else { plan };
             let single = plan.lower().unwrap().execute(&table).unwrap();
             for workers in [2usize, 3, 7] {
-                let partitioned = run_partitioned(&db, &plan, workers).unwrap();
+                let partitioned = partitioned(&table, &plan, workers);
                 assert_outputs_bitwise_eq(&single, &partitioned);
             }
         }
@@ -418,7 +383,7 @@ mod tests {
         for (lo, hi) in [(500usize, 300usize), (1200, 900), (5000, 9000)] {
             let plan = base.clone().sliced(lo, hi);
             let single = plan.lower().unwrap().execute(&table).unwrap();
-            let partitioned = run_partitioned(&db, &plan, 4).unwrap();
+            let partitioned = partitioned(&table, &plan, 4);
             assert_eq!(single.result_set(0).unwrap().num_rows(), 0);
             assert_outputs_bitwise_eq(&single, &partitioned);
         }
@@ -427,30 +392,42 @@ mod tests {
     #[test]
     fn partitioned_records_full_scan_cost_once() {
         let db = db();
+        let table = db.table("t").unwrap();
         let plan = LogicalPlan::scan("t")
             .aggregate(vec!["d1".into()], vec![AggSpec::new(AggFunc::Sum, "m")]);
+        let out = partitioned(&table, &plan, 4);
         db.reset_cost();
-        run_partitioned(&db, &plan, 4).unwrap();
+        db.record_stats(&out.stats);
         let cost = db.cost();
         assert_eq!(cost.queries, 1);
         assert_eq!(cost.rows_scanned, 1000);
         // One *logical* shared scan, regardless of worker count: the
         // counter must not scale with intra-plan parallelism.
         assert_eq!(cost.table_scans, 1);
+        assert_eq!(out.stats.partitions, 4);
     }
 
     #[test]
-    fn sampled_plans_fall_back_to_single_threaded() {
+    fn partitioned_rejects_sampled_plans() {
         let db = db();
+        let table = db.table("t").unwrap();
         let plan = LogicalPlan::scan("t")
             .aggregate(vec!["d1".into()], vec![AggSpec::new(AggFunc::Sum, "m")])
             .sampled(Some(crate::sample::SampleSpec::Bernoulli {
                 fraction: 0.5,
                 seed: 7,
-            }));
-        let single = db.execute_plan(&plan).unwrap();
-        let partitioned = run_partitioned(&db, &plan, 4).unwrap();
-        assert_outputs_bitwise_eq(&single, &partitioned);
+            }))
+            .lower()
+            .unwrap();
+        for workers in [1usize, 4] {
+            let out = run_partitioned(&table, &plan, workers, None, &Span::none());
+            assert!(
+                matches!(out, Err(DbError::InvalidQuery(_))),
+                "{workers} workers"
+            );
+        }
+        // The single-threaded path still executes them.
+        assert!(plan.execute(&table).is_ok());
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! SeeDB's performance story is rewriting many candidate view queries
 //! into few shared-scan DBMS queries. This module gives that rewrite a
 //! typed target: the optimizer emits [`LogicalPlan`] trees (scan →
-//! filter → shared-scan aggregate / grouping sets), [`lower`] validates
-//! each tree and picks the physical operator, and
+//! filter → shared-scan aggregate over one or more grouping sets),
+//! [`lower`] validates each tree into a [`PhysicalPlan`], and
 //! [`crate::parallel::run_batch`] (or [`crate::Database::execute_plan`])
 //! executes the result. All three paper optimizations — combined
 //! target/comparison (per-aggregate predicates), combined aggregates,
 //! and combined group-bys — lower onto the same shared-scan aggregation
-//! operator in [`crate::exec`].
+//! operator in [`crate::exec`]; a plain `GROUP BY` is its one-set case.
 //!
 //! ```
 //! use memdb::{plan::LogicalPlan, AggFunc, AggSpec, Expr};
@@ -32,9 +32,7 @@
 use std::time::Duration;
 
 use crate::error::{DbError, DbResult};
-use crate::exec::{
-    self, AggSpec, AggState, ExecStats, Query, QueryOutput, ResultSet, SetsOutput, SetsQuery,
-};
+use crate::exec::{self, AggSpec, AggState, CacheOutcome, ExecStats, Query, ResultSet};
 use crate::expr::Expr;
 use crate::sample::SampleSpec;
 use crate::table::Table;
@@ -61,26 +59,16 @@ pub struct FilterNode {
     pub predicate: Expr,
 }
 
-/// Shared-scan multi-aggregate over one grouping: every aggregate is
-/// computed in the same pass, each optionally carrying its own
-/// per-aggregate predicate (SeeDB's combined target/comparison rewrite).
+/// Shared-scan aggregation: every grouping set is evaluated with every
+/// aggregate in one pass, each aggregate optionally carrying its own
+/// per-aggregate predicate (SeeDB's combined target/comparison and
+/// combined group-by rewrites).
 #[derive(Debug, Clone)]
 pub struct AggregateNode {
     /// The node being aggregated.
     pub input: Box<LogicalPlan>,
-    /// Grouping attributes; empty = one global group.
-    pub group_by: Vec<String>,
-    /// Aggregates computed in the shared pass.
-    pub aggregates: Vec<AggSpec>,
-}
-
-/// Shared-scan grouping sets: several group-bys evaluated in one pass
-/// (SeeDB's combined group-by rewrite).
-#[derive(Debug, Clone)]
-pub struct GroupingSetsNode {
-    /// The node being aggregated.
-    pub input: Box<LogicalPlan>,
-    /// The grouping sets; each produces its own result set.
+    /// The grouping sets; each produces its own result set. An empty
+    /// set is one global group.
     pub sets: Vec<Vec<String>>,
     /// Aggregates computed for every set in the shared pass.
     pub aggregates: Vec<AggSpec>,
@@ -93,10 +81,8 @@ pub enum LogicalPlan {
     Scan(TableScan),
     /// Scan-level filter.
     Filter(FilterNode),
-    /// Shared-scan multi-aggregate with per-aggregate predicates.
+    /// Shared-scan aggregation over one or more grouping sets.
     Aggregate(AggregateNode),
-    /// Shared-scan grouping sets.
-    GroupingSets(GroupingSetsNode),
 }
 
 impl LogicalPlan {
@@ -117,18 +103,14 @@ impl LogicalPlan {
         })
     }
 
-    /// Aggregate this node by `group_by`.
+    /// Aggregate this node by `group_by` (one grouping set).
     pub fn aggregate(self, group_by: Vec<String>, aggregates: Vec<AggSpec>) -> LogicalPlan {
-        LogicalPlan::Aggregate(AggregateNode {
-            input: Box::new(self),
-            group_by,
-            aggregates,
-        })
+        self.grouping_sets(vec![group_by], aggregates)
     }
 
     /// Aggregate this node over several grouping sets in one pass.
     pub fn grouping_sets(self, sets: Vec<Vec<String>>, aggregates: Vec<AggSpec>) -> LogicalPlan {
-        LogicalPlan::GroupingSets(GroupingSetsNode {
+        LogicalPlan::Aggregate(AggregateNode {
             input: Box::new(self),
             sets,
             aggregates,
@@ -137,26 +119,21 @@ impl LogicalPlan {
 
     /// Attach sampling to the scan leaf (no-op for `None`).
     pub fn sampled(mut self, sample: Option<SampleSpec>) -> LogicalPlan {
-        if let Some(scan) = self.scan_leaf_mut() {
-            scan.sample = sample;
-        }
+        self.scan_leaf_mut().sample = sample;
         self
     }
 
     /// Restrict the scan leaf to the half-open row slice `[lo, hi)`.
     pub fn sliced(mut self, lo: usize, hi: usize) -> LogicalPlan {
-        if let Some(scan) = self.scan_leaf_mut() {
-            scan.row_range = Some((lo, hi));
-        }
+        self.scan_leaf_mut().row_range = Some((lo, hi));
         self
     }
 
-    fn scan_leaf_mut(&mut self) -> Option<&mut TableScan> {
+    fn scan_leaf_mut(&mut self) -> &mut TableScan {
         match self {
-            LogicalPlan::Scan(s) => Some(s),
+            LogicalPlan::Scan(s) => s,
             LogicalPlan::Filter(f) => f.input.scan_leaf_mut(),
             LogicalPlan::Aggregate(a) => a.input.scan_leaf_mut(),
-            LogicalPlan::GroupingSets(g) => g.input.scan_leaf_mut(),
         }
     }
 
@@ -166,11 +143,10 @@ impl LogicalPlan {
             LogicalPlan::Scan(s) => &s.table,
             LogicalPlan::Filter(f) => f.input.table(),
             LogicalPlan::Aggregate(a) => a.input.table(),
-            LogicalPlan::GroupingSets(g) => g.input.table(),
         }
     }
 
-    /// Validate this tree and pick the physical operator.
+    /// Validate this tree and lower it to its physical plan.
     ///
     /// # Errors
     /// `InvalidQuery` for malformed trees: a bare scan/filter root (no
@@ -180,138 +156,80 @@ impl LogicalPlan {
     }
 }
 
-/// Source description shared by both physical operators.
-#[derive(Debug, Clone, Default)]
-struct Source {
-    table: Option<String>,
-    filter: Option<Expr>,
-    sample: Option<SampleSpec>,
-    row_range: Option<(usize, usize)>,
-}
+/// Lower a scan/filter chain to the source part of a [`Query`]:
+/// `(table, filter, sample, row_range)`.
+type Source = (
+    String,
+    Option<Expr>,
+    Option<SampleSpec>,
+    Option<(usize, usize)>,
+);
 
 fn lower_source(node: &LogicalPlan) -> DbResult<Source> {
     match node {
-        LogicalPlan::Scan(s) => Ok(Source {
-            table: Some(s.table.clone()),
-            filter: None,
-            sample: s.sample,
-            row_range: s.row_range,
-        }),
+        LogicalPlan::Scan(s) => Ok((s.table.clone(), None, s.sample, s.row_range)),
         LogicalPlan::Filter(f) => {
-            let mut src = lower_source(&f.input)?;
+            let (table, filter, sample, row_range) = lower_source(&f.input)?;
             // Stacked filters AND-combine into one scan-level predicate.
-            src.filter = Some(match src.filter.take() {
+            let filter = match filter {
                 Some(existing) => existing.and(f.predicate.clone()),
                 None => f.predicate.clone(),
-            });
-            Ok(src)
+            };
+            Ok((table, Some(filter), sample, row_range))
         }
-        LogicalPlan::Aggregate(_) | LogicalPlan::GroupingSets(_) => Err(DbError::InvalidQuery(
+        LogicalPlan::Aggregate(_) => Err(DbError::InvalidQuery(
             "nested aggregation is not supported: aggregate inputs must be scan/filter chains"
                 .to_string(),
         )),
     }
 }
 
-/// The physical operator a logical plan lowers to, plus its scan-domain
-/// restriction. Wraps the executor's query types.
+/// An executable shared-scan query plus its scan-domain restriction.
 #[derive(Debug, Clone)]
-pub enum PhysicalPlan {
-    /// One shared scan, one grouping ([`exec::execute`]).
-    Aggregate {
-        /// The executable query.
-        query: Query,
-        /// Optional half-open row slice of the scan domain.
-        row_range: Option<(usize, usize)>,
-    },
-    /// One shared scan, many groupings ([`exec::execute_sets`]).
-    GroupingSets {
-        /// The executable query.
-        query: SetsQuery,
-        /// Optional half-open row slice of the scan domain.
-        row_range: Option<(usize, usize)>,
-    },
+pub struct PhysicalPlan {
+    /// The executable query.
+    pub query: Query,
+    /// Optional half-open row slice of the scan domain.
+    pub row_range: Option<(usize, usize)>,
 }
 
-/// Lower a logical plan to its physical operator.
-///
-/// A [`LogicalPlan::GroupingSets`] with exactly one set lowers to the
-/// simpler single-grouping operator — callers build the general shape
-/// and the planner picks the fast path.
+/// Lower a logical plan to its physical plan.
 ///
 /// # Errors
 /// `InvalidQuery` for malformed trees (see [`LogicalPlan::lower`]).
 pub fn lower(plan: &LogicalPlan) -> DbResult<PhysicalPlan> {
-    match plan {
-        LogicalPlan::Scan(_) | LogicalPlan::Filter(_) => Err(DbError::InvalidQuery(
+    let LogicalPlan::Aggregate(a) = plan else {
+        return Err(DbError::InvalidQuery(
             "plan root must be an aggregation (bare scans have no output operator)".to_string(),
-        )),
-        LogicalPlan::Aggregate(a) => {
-            if a.aggregates.is_empty() {
-                return Err(DbError::InvalidQuery(
-                    "aggregate node computes no aggregates".to_string(),
-                ));
-            }
-            let src = lower_source(&a.input)?;
-            Ok(PhysicalPlan::Aggregate {
-                query: Query {
-                    table: src.table.expect("source always has a table"),
-                    filter: src.filter,
-                    group_by: a.group_by.clone(),
-                    aggregates: a.aggregates.clone(),
-                    sample: src.sample,
-                },
-                row_range: src.row_range,
-            })
-        }
-        LogicalPlan::GroupingSets(g) => {
-            if g.aggregates.is_empty() {
-                return Err(DbError::InvalidQuery(
-                    "grouping-sets node computes no aggregates".to_string(),
-                ));
-            }
-            if g.sets.is_empty() {
-                return Err(DbError::InvalidQuery(
-                    "grouping-sets node has no grouping sets".to_string(),
-                ));
-            }
-            let src = lower_source(&g.input)?;
-            let table = src.table.expect("source always has a table");
-            if g.sets.len() == 1 {
-                // Single-set shared scan degenerates to the plain
-                // single-grouping operator.
-                return Ok(PhysicalPlan::Aggregate {
-                    query: Query {
-                        table,
-                        filter: src.filter,
-                        group_by: g.sets[0].clone(),
-                        aggregates: g.aggregates.clone(),
-                        sample: src.sample,
-                    },
-                    row_range: src.row_range,
-                });
-            }
-            Ok(PhysicalPlan::GroupingSets {
-                query: SetsQuery {
-                    table,
-                    filter: src.filter,
-                    sets: g.sets.clone(),
-                    aggregates: g.aggregates.clone(),
-                    sample: src.sample,
-                },
-                row_range: src.row_range,
-            })
-        }
+        ));
+    };
+    if a.aggregates.is_empty() {
+        return Err(DbError::InvalidQuery(
+            "aggregate node computes no aggregates".to_string(),
+        ));
     }
+    if a.sets.is_empty() {
+        return Err(DbError::InvalidQuery(
+            "aggregate node has no grouping sets".to_string(),
+        ));
+    }
+    let (table, filter, sample, row_range) = lower_source(&a.input)?;
+    Ok(PhysicalPlan {
+        query: Query {
+            table,
+            filter,
+            sets: a.sets.clone(),
+            aggregates: a.aggregates.clone(),
+            sample,
+        },
+        row_range,
+    })
 }
 
 impl PhysicalPlan {
     /// The table this plan scans.
     pub fn table(&self) -> &str {
-        match self {
-            PhysicalPlan::Aggregate { query, .. } => &query.table,
-            PhysicalPlan::GroupingSets { query, .. } => &query.table,
-        }
+        &self.query.table
     }
 
     /// A canonical fingerprint of everything that determines this plan's
@@ -332,32 +250,16 @@ impl PhysicalPlan {
             out.push_str(s);
             out.push('\n');
         };
-        let (table, filter, sample, sets, aggs, row_range, shape) = match self {
-            PhysicalPlan::Aggregate { query, row_range } => (
-                &query.table,
-                &query.filter,
-                &query.sample,
-                vec![query.group_by.clone()],
-                &query.aggregates,
-                row_range,
-                "agg",
-            ),
-            PhysicalPlan::GroupingSets { query, row_range } => (
-                &query.table,
-                &query.filter,
-                &query.sample,
-                query.sets.clone(),
-                &query.aggregates,
-                row_range,
-                "sets",
-            ),
-        };
+        let q = &self.query;
+        // One set tags as `agg`, several as `sets`: the tag is part of
+        // every cache key and orders spilled warm plans, so it is stable.
+        let shape = if q.sets.len() == 1 { "agg" } else { "sets" };
         push(&mut out, "shape", shape);
-        push(&mut out, "table", table);
+        push(&mut out, "table", &q.table);
         push(
             &mut out,
             "range",
-            &match row_range {
+            &match self.row_range {
                 None => "none".to_string(),
                 Some((lo, hi)) => format!("{lo},{hi}"),
             },
@@ -365,7 +267,7 @@ impl PhysicalPlan {
         push(
             &mut out,
             "sample",
-            &match sample {
+            &match &q.sample {
                 None => "none".to_string(),
                 Some(s) => format!("{s:?}"),
             },
@@ -373,17 +275,17 @@ impl PhysicalPlan {
         push(
             &mut out,
             "filter",
-            &filter.as_ref().map(Expr::to_sql).unwrap_or_default(),
+            &q.filter.as_ref().map(Expr::to_sql).unwrap_or_default(),
         );
-        push(&mut out, "nsets", &sets.len().to_string());
-        for set in &sets {
+        push(&mut out, "nsets", &q.sets.len().to_string());
+        for set in &q.sets {
             push(&mut out, "ncols", &set.len().to_string());
             for col in set {
                 push(&mut out, "col", col);
             }
         }
-        push(&mut out, "naggs", &aggs.len().to_string());
-        for a in aggs {
+        push(&mut out, "naggs", &q.aggregates.len().to_string());
+        for a in &q.aggregates {
             push(&mut out, "func", a.func.sql());
             push(&mut out, "acol", a.column.as_deref().unwrap_or("*"));
             push(&mut out, "alias", a.alias.as_deref().unwrap_or(""));
@@ -396,28 +298,20 @@ impl PhysicalPlan {
         out
     }
 
-    /// Execute directly against a table (no catalog, no cost recording).
+    /// Execute directly against a table (no catalog, no cost recording):
+    /// one scan of the plan's domain, then [`PartialAggState::finalize`].
+    /// The reported `elapsed` is the scan time.
     ///
     /// # Errors
     /// Unknown columns, type errors, or invalid query shapes.
     pub fn execute(&self, table: &Table) -> DbResult<PlanOutput> {
-        match self {
-            PhysicalPlan::Aggregate { query, row_range } => {
-                exec::execute_ranged(table, query, *row_range).map(PlanOutput::Aggregate)
-            }
-            PhysicalPlan::GroupingSets { query, row_range } => {
-                exec::execute_sets_ranged(table, query, *row_range).map(PlanOutput::GroupingSets)
-            }
-        }
+        self.scan(table, self.row_range)?.finalize(table)
     }
 
     /// Whether the plan samples its scan (sampled plans cannot be
     /// executed partially: per-partition samples do not compose).
     pub fn is_sampled(&self) -> bool {
-        match self {
-            PhysicalPlan::Aggregate { query, .. } => query.sample.is_some(),
-            PhysicalPlan::GroupingSets { query, .. } => query.sample.is_some(),
-        }
+        self.query.sample.is_some()
     }
 
     /// The half-open row range this plan scans of `table` (its own
@@ -425,11 +319,7 @@ impl PhysicalPlan {
     /// (`lo <= hi`): an inverted or out-of-range slice degenerates to
     /// an empty range, matching the empty output `execute` produces.
     pub fn scan_range(&self, table: &Table) -> (usize, usize) {
-        let row_range = match self {
-            PhysicalPlan::Aggregate { row_range, .. } => *row_range,
-            PhysicalPlan::GroupingSets { row_range, .. } => *row_range,
-        };
-        match row_range {
+        match self.row_range {
             None => (0, table.num_rows()),
             Some((lo, hi)) => {
                 let lo = lo.min(table.num_rows());
@@ -447,36 +337,32 @@ impl PhysicalPlan {
     /// [`PhysicalPlan::execute`] for any partition shape.
     ///
     /// # Errors
-    /// Unknown columns, type errors, or a sampled plan.
+    /// Unknown columns, type errors, or a sampled plan (`InvalidQuery`).
     pub fn execute_partial(
         &self,
         table: &Table,
         range: (usize, usize),
     ) -> DbResult<PartialAggState> {
+        if self.is_sampled() {
+            return Err(DbError::InvalidQuery(
+                "sampled queries cannot be executed partially: the sampled row domain \
+                 depends on the scanned range, so per-partition samples do not compose"
+                    .to_string(),
+            ));
+        }
         let (plan_lo, plan_hi) = self.scan_range(table);
-        let eff = (
-            range.0.max(plan_lo),
-            range.1.min(plan_hi).max(range.0.max(plan_lo)),
-        );
-        let (raw, single, group_by, aggregates) = match self {
-            PhysicalPlan::Aggregate { query, .. } => (
-                exec::execute_partial_ranged(table, query, Some(eff))?,
-                true,
-                vec![query.group_by.clone()],
-                query.aggregates.clone(),
-            ),
-            PhysicalPlan::GroupingSets { query, .. } => (
-                exec::execute_sets_partial_ranged(table, query, Some(eff))?,
-                false,
-                query.sets.clone(),
-                query.aggregates.clone(),
-            ),
-        };
+        let lo = range.0.max(plan_lo);
+        self.scan(table, Some((lo, range.1.min(plan_hi).max(lo))))
+    }
+
+    /// The one execution entry: scan `row_range` of `table` (sampled if
+    /// the plan samples) into unfinalized state.
+    fn scan(&self, table: &Table, row_range: Option<(usize, usize)>) -> DbResult<PartialAggState> {
+        let raw = exec::scan(table, &self.query, row_range)?;
         Ok(PartialAggState {
             accs: raw.accs,
-            single,
-            group_by,
-            aggregates,
+            sets: self.query.sets.clone(),
+            aggregates: self.query.aggregates.clone(),
             stats: raw.stats,
         })
     }
@@ -498,8 +384,7 @@ impl PhysicalPlan {
 #[derive(Debug, Clone)]
 pub struct PartialAggState {
     accs: Vec<exec::aggregate::SetAcc>,
-    single: bool,
-    group_by: Vec<Vec<String>>,
+    sets: Vec<Vec<String>>,
     aggregates: Vec<AggSpec>,
     stats: ExecStats,
 }
@@ -511,9 +396,9 @@ impl PartialAggState {
     ///
     /// # Errors
     /// `Internal` if the two states come from different plan shapes:
-    /// output shape, grouping columns, and aggregate specs (function,
-    /// column, alias, per-aggregate predicate) must all match — same-
-    /// arity states from *different* plans must not merge silently.
+    /// grouping sets and aggregate specs (function, column, alias,
+    /// per-aggregate predicate) must all match — same-arity states
+    /// from *different* plans must not merge silently.
     pub fn merge(&mut self, other: PartialAggState, table: &Table) -> DbResult<()> {
         let agg_eq = |a: &AggSpec, b: &AggSpec| {
             a.func == b.func
@@ -521,8 +406,7 @@ impl PartialAggState {
                 && a.alias == b.alias
                 && a.filter.as_ref().map(Expr::to_sql) == b.filter.as_ref().map(Expr::to_sql)
         };
-        if self.single != other.single
-            || self.group_by != other.group_by
+        if self.sets != other.sets
             || self.aggregates.len() != other.aggregates.len()
             || !self
                 .aggregates
@@ -539,14 +423,22 @@ impl PartialAggState {
         Ok(())
     }
 
-    /// Number of grouping sets (1 for a single-grouping plan).
+    /// Number of grouping sets.
     pub fn num_sets(&self) -> usize {
         self.accs.len()
     }
 
-    /// Cost figures of the scan(s) that produced this state.
-    pub fn stats(&self) -> &ExecStats {
-        &self.stats
+    /// Cost figures of the one logical shared scan this state stands
+    /// for: the merged per-partition figures (`rows_scanned` covers
+    /// the union of the merged ranges), except that `table_scans` is
+    /// **1** — the partitions jointly perform one shared scan, and the
+    /// counter's documented meaning ("shared scans are the point")
+    /// must not scale with the worker count.
+    pub fn scan_stats(&self) -> ExecStats {
+        ExecStats {
+            table_scans: 1,
+            ..self.stats
+        }
     }
 
     /// Add merge time (per the injected clock) to this state's stats —
@@ -579,25 +471,21 @@ impl PartialAggState {
     /// `Internal` if a grouping set or aggregate of `plan` is not
     /// covered by this state.
     pub fn project_for(&self, plan: &PhysicalPlan) -> DbResult<PartialAggState> {
-        let (single, want_sets, want_aggs) = match plan {
-            PhysicalPlan::Aggregate { query, .. } => {
-                (true, vec![query.group_by.clone()], query.aggregates.clone())
-            }
-            PhysicalPlan::GroupingSets { query, .. } => {
-                (false, query.sets.clone(), query.aggregates.clone())
-            }
-        };
-        let set_indices: Vec<usize> = want_sets
+        let set_indices: Vec<usize> = plan
+            .query
+            .sets
             .iter()
             .map(|s| {
-                self.group_by.iter().position(|g| g == s).ok_or_else(|| {
+                self.sets.iter().position(|g| g == s).ok_or_else(|| {
                     DbError::Internal(format!(
                         "projection target grouping set {s:?} not covered by this state"
                     ))
                 })
             })
             .collect::<DbResult<_>>()?;
-        let agg_indices: Vec<usize> = want_aggs
+        let agg_indices: Vec<usize> = plan
+            .query
+            .aggregates
             .iter()
             .map(|a| {
                 let key = a.state_key();
@@ -618,9 +506,8 @@ impl PartialAggState {
             .collect();
         Ok(PartialAggState {
             accs,
-            single,
-            group_by: want_sets,
-            aggregates: want_aggs,
+            sets: plan.query.sets.clone(),
+            aggregates: plan.query.aggregates.clone(),
             stats: self.stats,
         })
     }
@@ -642,112 +529,69 @@ impl PartialAggState {
     }
 
     /// Finalize into the same output shape [`PhysicalPlan::execute`]
-    /// produces (groups sorted by label, SQL null semantics applied).
-    ///
-    /// Stats semantics: `rows_scanned` covers the union of the merged
-    /// ranges, but `table_scans` is reported as **1** — the partitions
-    /// jointly perform one logical shared scan, and the counter's
-    /// documented meaning ("shared scans are the point") must not
-    /// scale with the worker count. `elapsed` is the summed
-    /// per-partition scan time; [`crate::parallel::run_partitioned`]
-    /// replaces it with the measured wall clock.
+    /// produces (groups sorted by label, SQL null semantics applied),
+    /// with [`scan_stats`](PartialAggState::scan_stats) as its cost
+    /// figures. `elapsed` is the summed per-partition scan time.
     ///
     /// # Errors
     /// Column resolution errors (impossible for states produced against
     /// the same table).
     pub fn finalize(self, table: &Table) -> DbResult<PlanOutput> {
         let requests = exec::resolve_aggs(table, &self.aggregates)?;
+        let mut stats = self.scan_stats();
         let grouped = exec::aggregate::finalize_accs(self.accs, table, &requests);
-        let mut stats = self.stats;
-        stats.table_scans = 1;
         stats.groups_emitted = grouped.iter().map(|g| g.num_groups() as u64).sum();
-        if self.single {
-            let g = grouped.into_iter().next().expect("one set in, one out");
-            let result = exec::grouped_to_result(&self.group_by[0], &self.aggregates, g);
-            Ok(PlanOutput::Aggregate(QueryOutput { result, stats }))
-        } else {
-            let results = self
-                .group_by
-                .iter()
-                .zip(grouped)
-                .map(|(set, g)| exec::grouped_to_result(set, &self.aggregates, g))
-                .collect();
-            Ok(PlanOutput::GroupingSets(SetsOutput { results, stats }))
-        }
+        let results = self
+            .sets
+            .iter()
+            .zip(grouped)
+            .map(|(set, g)| exec::grouped_to_result(set, &self.aggregates, g))
+            .collect();
+        Ok(PlanOutput { results, stats })
     }
 }
 
-/// Output of an executed plan, matching [`PhysicalPlan`]'s shape.
+/// Output of an executed plan: one result set per grouping set.
 #[derive(Debug, Clone)]
-pub enum PlanOutput {
-    /// Output of a single-grouping plan.
-    Aggregate(QueryOutput),
-    /// Output of a multi-set plan.
-    GroupingSets(SetsOutput),
+pub struct PlanOutput {
+    /// One result per grouping set, in plan order.
+    pub results: Vec<ResultSet>,
+    /// Cost figures for the one shared scan.
+    pub stats: ExecStats,
 }
 
 impl PlanOutput {
-    /// Execution cost figures.
-    pub fn stats(&self) -> &ExecStats {
-        match self {
-            PlanOutput::Aggregate(o) => &o.stats,
-            PlanOutput::GroupingSets(o) => &o.stats,
-        }
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut ExecStats {
-        match self {
-            PlanOutput::Aggregate(o) => &mut o.stats,
-            PlanOutput::GroupingSets(o) => &mut o.stats,
-        }
-    }
-
     /// Stamp the cache probe outcome this output was served under. The
     /// serving layer calls this on the per-request copy — a memoized
-    /// cached output stays [`CacheOutcome::Uncached`](crate::exec::CacheOutcome::Uncached) so each request
+    /// cached output stays [`CacheOutcome::Uncached`] so each request
     /// reports its own probe.
-    pub fn set_cache(&mut self, outcome: crate::exec::CacheOutcome) {
-        self.stats_mut().cache = outcome;
+    pub fn set_cache(&mut self, outcome: CacheOutcome) {
+        self.stats.cache = outcome;
     }
 
     /// Wall time the query itself took (excluding queue wait).
     pub fn elapsed(&self) -> Duration {
-        self.stats().elapsed
+        self.stats.elapsed
     }
 
-    /// The result set at `index`: a single-grouping output has exactly
-    /// index 0; a grouping-sets output has one per set.
+    /// The result set of grouping set `index`.
     ///
     /// # Errors
-    /// `Internal` if `index` is out of range for this output's shape (a
-    /// plan/executor mismatch is a bug, surfaced as an error).
+    /// `Internal` if `index` is out of range (a plan/executor mismatch
+    /// is a bug, surfaced as an error).
     pub fn result_set(&self, index: usize) -> DbResult<&ResultSet> {
-        match self {
-            PlanOutput::Aggregate(o) => {
-                if index == 0 {
-                    Ok(&o.result)
-                } else {
-                    Err(DbError::Internal(format!(
-                        "result index {index} out of range for single-grouping output"
-                    )))
-                }
-            }
-            PlanOutput::GroupingSets(o) => o.results.get(index).ok_or_else(|| {
-                DbError::Internal(format!(
-                    "result index {} out of range ({} sets)",
-                    index,
-                    o.results.len()
-                ))
-            }),
-        }
+        self.results.get(index).ok_or_else(|| {
+            DbError::Internal(format!(
+                "result index {} out of range ({} sets)",
+                index,
+                self.results.len()
+            ))
+        })
     }
 
     /// Number of result sets.
     pub fn num_result_sets(&self) -> usize {
-        match self {
-            PlanOutput::Aggregate(_) => 1,
-            PlanOutput::GroupingSets(o) => o.results.len(),
-        }
+        self.results.len()
     }
 }
 
@@ -800,26 +644,20 @@ mod tests {
             .filter(Expr::col("store").eq("MA"))
             .aggregate(vec!["store".into()], sum_amount());
         let phys = plan.lower().unwrap();
-        match &phys {
-            PhysicalPlan::Aggregate { query, .. } => {
-                assert!(query.filter.is_some(), "both filters AND-combined")
-            }
-            _ => panic!("expected aggregate"),
-        }
+        assert!(phys.query.filter.is_some(), "both filters AND-combined");
         let out = phys.execute(&t).unwrap();
         assert_eq!(out.result_set(0).unwrap().num_rows(), 1);
     }
 
     #[test]
     fn single_set_grouping_sets_lowers_to_aggregate() {
-        let plan =
+        let sets =
             LogicalPlan::scan("sales").grouping_sets(vec![vec!["store".into()]], sum_amount());
-        match plan.lower().unwrap() {
-            PhysicalPlan::Aggregate { query, .. } => {
-                assert_eq!(query.group_by, vec!["store".to_string()])
-            }
-            PhysicalPlan::GroupingSets { .. } => panic!("single set should use the fast path"),
-        }
+        let agg = LogicalPlan::scan("sales").aggregate(vec!["store".into()], sum_amount());
+        let (sets, agg) = (sets.lower().unwrap(), agg.lower().unwrap());
+        assert_eq!(sets.query.sets, vec![vec!["store".to_string()]]);
+        assert_eq!(sets.fingerprint(), agg.fingerprint());
+        assert!(sets.fingerprint().starts_with("shape:3:agg\n"));
     }
 
     #[test]
@@ -831,8 +669,8 @@ mod tests {
         );
         let out = plan.lower().unwrap().execute(&t).unwrap();
         assert_eq!(out.num_result_sets(), 2);
-        assert_eq!(out.stats().table_scans, 1);
-        assert_eq!(out.stats().rows_scanned, 4);
+        assert_eq!(out.stats.table_scans, 1);
+        assert_eq!(out.stats.rows_scanned, 4);
     }
 
     #[test]
@@ -842,7 +680,7 @@ mod tests {
         let slice = full.clone().sliced(1, 3);
         let out = slice.lower().unwrap().execute(&t).unwrap();
         assert_eq!(out.result_set(0).unwrap().rows[0][0], Value::Int(2));
-        assert_eq!(out.stats().rows_scanned, 2);
+        assert_eq!(out.stats.rows_scanned, 2);
         // Slices partition: all-phase counts sum to the full count.
         let a = LogicalPlan::scan("sales")
             .aggregate(vec![], vec![AggSpec::count_star()])
@@ -1044,9 +882,6 @@ mod tests {
                 fraction: 0.5,
                 seed: 1,
             }));
-        match plan.lower().unwrap() {
-            PhysicalPlan::Aggregate { query, .. } => assert!(query.sample.is_some()),
-            _ => panic!("expected aggregate"),
-        }
+        assert!(plan.lower().unwrap().query.sample.is_some());
     }
 }

@@ -282,7 +282,7 @@ impl Parser {
         Ok(Query {
             table,
             filter,
-            group_by,
+            sets: vec![group_by],
             aggregates,
             sample: None,
         })
@@ -461,7 +461,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.table, "Sales");
-        assert_eq!(q.group_by, vec!["store"]);
+        assert_eq!(q.sets, vec![vec!["store"]]);
         assert_eq!(q.aggregates.len(), 1);
         assert_eq!(q.aggregates[0].func, AggFunc::Sum);
         assert_eq!(q.aggregates[0].column.as_deref(), Some("amount"));
@@ -540,7 +540,7 @@ mod tests {
     #[test]
     fn keywords_case_insensitive() {
         let q = parse_query("select store, sum(amount) from sales group by store").unwrap();
-        assert_eq!(q.group_by, vec!["store"]);
+        assert_eq!(q.sets, vec![vec!["store"]]);
     }
 
     #[test]
@@ -574,7 +574,7 @@ mod tests {
         // SELECT a, b FROM t — projection-only; treated as a selection
         // carrying no aggregates (COUNT(*) placeholder).
         let q = parse_query("SELECT a, b FROM t").unwrap();
-        assert!(q.group_by.is_empty());
+        assert_eq!(q.sets, vec![Vec::<String>::new()]);
         assert_eq!(q.aggregates.len(), 1);
         assert_eq!(q.aggregates[0].func, AggFunc::Count);
     }

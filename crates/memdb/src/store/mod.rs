@@ -787,57 +787,33 @@ pub fn read_plans(path: &Path) -> DbResult<Vec<PhysicalPlan>> {
 }
 
 fn encode_plan(e: &mut Enc, plan: &PhysicalPlan) {
-    let enc_common =
-        |e: &mut Enc, table: &str, filter, sample, aggs: &[crate::exec::AggSpec], row_range| {
-            e.str(table);
-            e.opt_expr(filter);
-            e.opt_sample(sample);
-            e.u64(aggs.len() as u64);
-            for a in aggs {
-                e.agg_spec(a);
-            }
-            match row_range {
-                None => e.u8(0),
-                Some((lo, hi)) => {
-                    e.u8(1);
-                    e.u64(lo as u64);
-                    e.u64(hi as u64);
-                }
-            }
-        };
-    match plan {
-        PhysicalPlan::Aggregate { query, row_range } => {
-            e.u8(0);
-            enc_common(
-                e,
-                &query.table,
-                &query.filter,
-                &query.sample,
-                &query.aggregates,
-                *row_range,
-            );
-            e.u64(query.group_by.len() as u64);
-            for g in &query.group_by {
-                e.str(g);
-            }
-        }
-        PhysicalPlan::GroupingSets { query, row_range } => {
+    let q = &plan.query;
+    // Tag 0 stores one grouping set as a flat column list, tag 1 a list
+    // of sets; both decode to the same plan type.
+    let one_set = q.sets.len() == 1;
+    e.u8(if one_set { 0 } else { 1 });
+    e.str(&q.table);
+    e.opt_expr(&q.filter);
+    e.opt_sample(&q.sample);
+    e.u64(q.aggregates.len() as u64);
+    for a in &q.aggregates {
+        e.agg_spec(a);
+    }
+    match plan.row_range {
+        None => e.u8(0),
+        Some((lo, hi)) => {
             e.u8(1);
-            enc_common(
-                e,
-                &query.table,
-                &query.filter,
-                &query.sample,
-                &query.aggregates,
-                *row_range,
-            );
-            e.u64(query.sets.len() as u64);
-            for set in &query.sets {
-                e.u64(set.len() as u64);
-                for g in set {
-                    e.str(g);
-                }
-            }
+            e.u64(lo as u64);
+            e.u64(hi as u64);
+        }
+    }
+    if !one_set {
+        e.u64(q.sets.len() as u64);
+    }
+    for set in &q.sets {
+        e.u64(set.len() as u64);
+        for g in set {
+            e.str(g);
         }
     }
 }
@@ -857,43 +833,29 @@ fn decode_plan(d: &mut Dec, what: &str) -> DbResult<PhysicalPlan> {
         1 => Some((d.u64()? as usize, d.u64()? as usize)),
         t => return Err(corrupt(format!("{what}: bad row-range tag {t}"))),
     };
-    let str_list = |d: &mut Dec| -> DbResult<Vec<String>> {
-        let n = d.count(1)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(d.str()?);
-        }
-        Ok(v)
-    };
-    Ok(match tag {
-        0 => PhysicalPlan::Aggregate {
-            query: crate::exec::Query {
-                table,
-                filter,
-                group_by: str_list(d)?,
-                aggregates,
-                sample,
-            },
-            row_range,
-        },
-        1 => {
-            let nsets = d.count(1)?;
-            let mut sets = Vec::with_capacity(nsets);
-            for _ in 0..nsets {
-                sets.push(str_list(d)?);
-            }
-            PhysicalPlan::GroupingSets {
-                query: crate::exec::SetsQuery {
-                    table,
-                    filter,
-                    sets,
-                    aggregates,
-                    sample,
-                },
-                row_range,
-            }
-        }
+    let nsets = match tag {
+        0 => 1,
+        1 => d.count(1)?,
         t => return Err(corrupt(format!("{what}: bad plan tag {t}"))),
+    };
+    let mut sets = Vec::with_capacity(nsets);
+    for _ in 0..nsets {
+        let n = d.count(1)?;
+        let mut set = Vec::with_capacity(n);
+        for _ in 0..n {
+            set.push(d.str()?);
+        }
+        sets.push(set);
+    }
+    Ok(PhysicalPlan {
+        query: crate::exec::Query {
+            table,
+            filter,
+            sets,
+            aggregates,
+            sample,
+        },
+        row_range,
     })
 }
 
@@ -955,6 +917,116 @@ mod tests {
         bytes[last] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(read_plans(&path), Err(DbError::Corrupt(_))));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Pins the cache-key and warm-plan file formats: plans spilled by
+    /// earlier builds must keep warm-loading under the same keys.
+    #[test]
+    fn golden_fingerprints_and_warm_plan_bytes() {
+        let one = LogicalPlan::scan("t")
+            .filter(Expr::col("d").eq("x"))
+            .aggregate(
+                vec!["d".into()],
+                vec![
+                    AggSpec::new(AggFunc::Sum, "m")
+                        .with_filter(Expr::col("d").ne("y"))
+                        .with_alias("target"),
+                    AggSpec::count_star(),
+                ],
+            )
+            .sampled(Some(crate::sample::SampleSpec::Bernoulli {
+                fraction: 0.25,
+                seed: 9,
+            }))
+            .lower()
+            .unwrap();
+        let three = LogicalPlan::scan("t")
+            .grouping_sets(
+                vec![vec!["d".into()], vec![], vec!["d".into(), "e".into()]],
+                vec![
+                    AggSpec::new(AggFunc::Avg, "m"),
+                    AggSpec::new(AggFunc::Max, "m").with_alias("hi"),
+                ],
+            )
+            .sliced(3, 9)
+            .lower()
+            .unwrap();
+        let fp_one = concat!(
+            "shape:3:agg\n",
+            "table:1:t\n",
+            "range:4:none\n",
+            "sample:37:Bernoulli { fraction: 0.25, seed: 9 }\n",
+            "filter:7:d = 'x'\n",
+            "nsets:1:1\n",
+            "ncols:1:1\n",
+            "col:1:d\n",
+            "naggs:1:2\n",
+            "func:3:SUM\n",
+            "acol:1:m\n",
+            "alias:6:target\n",
+            "afilter:8:d <> 'y'\n",
+            "func:5:COUNT\n",
+            "acol:1:*\n",
+            "alias:0:\n",
+            "afilter:0:\n",
+        );
+        let fp_three = concat!(
+            "shape:4:sets\n",
+            "table:1:t\n",
+            "range:3:3,9\n",
+            "sample:4:none\n",
+            "filter:0:\n",
+            "nsets:1:3\n",
+            "ncols:1:1\n",
+            "col:1:d\n",
+            "ncols:1:0\n",
+            "ncols:1:2\n",
+            "col:1:d\n",
+            "col:1:e\n",
+            "naggs:1:2\n",
+            "func:3:AVG\n",
+            "acol:1:m\n",
+            "alias:0:\n",
+            "afilter:0:\n",
+            "func:3:MAX\n",
+            "acol:1:m\n",
+            "alias:2:hi\n",
+            "afilter:0:\n",
+        );
+        assert_eq!(one.fingerprint(), fp_one);
+        assert_eq!(three.fingerprint(), fp_three);
+
+        // One set is written as tag 0 (flat column list), several as
+        // tag 1 (list of sets), sorted by fingerprint.
+        let golden = concat!(
+            "0f010000000000007ec3220f0200000000000000000100000000000000740102",
+            "0000010000000000000064010301000000000000007801000000000000d03f09",
+            "000000000000000200000000000000010101000000000000006d010201000100",
+            "0000000000006401030100000000000000790106000000000000007461726765",
+            "7400000000000100000000000000010000000000000064010100000000000000",
+            "7400000200000000000000020101000000000000006d00000401010000000000",
+            "00006d0001020000000000000068690103000000000000000900000000000000",
+            "0300000000000000010000000000000001000000000000006400000000000000",
+            "000200000000000000010000000000000064010000000000000065",
+        );
+        let golden: Vec<u8> = (0..golden.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&golden[i..i + 2], 16).unwrap())
+            .collect();
+        let dir = tmp("golden-plans");
+        let path = dir.join(WARM_PLANS_FILE);
+        write_plans(&path, &[three.clone(), one.clone()]).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), golden);
+
+        // Both tags decode back to the same plans.
+        std::fs::write(&path, &golden).unwrap();
+        let fps: Vec<String> = read_plans(&path)
+            .unwrap()
+            .iter()
+            .map(PhysicalPlan::fingerprint)
+            .collect();
+        assert_eq!(fps, vec![fp_one.to_string(), fp_three.to_string()]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

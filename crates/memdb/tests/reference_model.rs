@@ -5,8 +5,8 @@
 
 use std::collections::BTreeMap;
 
-use memdb::exec::{execute, execute_sets, AggFunc, AggSpec, Query, SetsQuery};
-use memdb::{ColumnDef, DataType, Expr, Schema, Table, Value};
+use memdb::exec::{AggFunc, AggSpec, Query};
+use memdb::{ColumnDef, DataType, Expr, PhysicalPlan, PlanOutput, Schema, Table, Value};
 use proptest::prelude::*;
 
 /// A randomly generated table: 2 string dims (one low-cardinality to hit
@@ -148,6 +148,16 @@ fn approx_eq(
     Ok(())
 }
 
+/// Execute `q` through the engine's one physical-plan entry point.
+fn execute(t: &Table, q: &Query) -> PlanOutput {
+    PhysicalPlan {
+        query: q.clone(),
+        row_range: None,
+    }
+    .execute(t)
+    .unwrap()
+}
+
 const FUNCS: [AggFunc; 5] = [
     AggFunc::Count,
     AggFunc::Sum,
@@ -170,8 +180,8 @@ proptest! {
             f => AggSpec::new(f, "m"),
         };
         let q = Query::aggregate("t", vec!["d2"], vec![spec]);
-        let out = execute(&t, &q).unwrap();
-        let engine = result_to_map(&out.result, 1);
+        let out = execute(&t, &q);
+        let engine = result_to_map(&out.results[0], 1);
         let reference = reference_aggregate(&data, &[1], func, None, None);
         approx_eq(&engine, &reference).map_err(TestCaseError::fail)?;
     }
@@ -187,8 +197,8 @@ proptest! {
             f => AggSpec::new(f, "m"),
         };
         let q = Query::aggregate("t", vec!["d1", "d3"], vec![spec]);
-        let out = execute(&t, &q).unwrap();
-        let engine = result_to_map(&out.result, 2);
+        let out = execute(&t, &q);
+        let engine = result_to_map(&out.results[0], 2);
         let reference = reference_aggregate(&data, &[0, 2], func, None, None);
         approx_eq(&engine, &reference).map_err(TestCaseError::fail)?;
     }
@@ -208,16 +218,14 @@ proptest! {
                 AggSpec::new(AggFunc::Sum, "m").with_alias("comparison"),
             ],
         );
-        let out = execute(&t, &q).unwrap();
+        let out = execute(&t, &q);
         // Column 1 = target, column 2 = comparison.
-        let target: BTreeMap<Vec<String>, Option<f64>> = out
-            .result
+        let target: BTreeMap<Vec<String>, Option<f64>> = out.results[0]
             .rows
             .iter()
             .map(|r| (vec![r[0].render()], r[1].as_f64()))
             .collect();
-        let comparison: BTreeMap<Vec<String>, Option<f64>> = out
-            .result
+        let comparison: BTreeMap<Vec<String>, Option<f64>> = out.results[0]
             .rows
             .iter()
             .map(|r| (vec![r[0].render()], r[2].as_f64()))
@@ -234,8 +242,8 @@ proptest! {
         let t = build_table(&data);
         let q = Query::aggregate("t", vec!["d2"], vec![AggSpec::new(AggFunc::Avg, "m")])
             .with_filter(Expr::col("d3").lt(limit));
-        let out = execute(&t, &q).unwrap();
-        let engine = result_to_map(&out.result, 1);
+        let out = execute(&t, &q);
+        let engine = result_to_map(&out.results[0], 1);
         let reference = reference_aggregate(&data, &[1], AggFunc::Avg, None, Some(limit));
         approx_eq(&engine, &reference).map_err(TestCaseError::fail)?;
     }
@@ -245,20 +253,20 @@ proptest! {
     fn grouping_sets_match_independent_queries(data in data_strategy()) {
         let t = build_table(&data);
         let aggs = vec![AggSpec::new(AggFunc::Sum, "m"), AggSpec::count_star()];
-        let sets = SetsQuery {
+        let sets = Query {
             table: "t".into(),
             filter: None,
             sets: vec![vec!["d1".into()], vec!["d2".into()], vec!["d3".into()]],
             aggregates: aggs.clone(),
             sample: None,
         };
-        let combined = execute_sets(&t, &sets).unwrap();
+        let combined = execute(&t, &sets);
         for (i, dim) in ["d1", "d2", "d3"].iter().enumerate() {
             let q = Query::aggregate("t", vec![dim], aggs.clone());
-            let single = execute(&t, &q).unwrap();
+            let single = execute(&t, &q);
             prop_assert_eq!(
                 &combined.results[i].rows,
-                &single.result.rows,
+                &single.results[0].rows,
                 "grouping set {} differs from standalone query",
                 dim
             );

@@ -91,15 +91,15 @@ fn executed_sql_matches_programmatic_query() {
     let from_sql = db
         .run_sql("SELECT d, SUM(m) AS s, COUNT(*) AS c FROM t WHERE n >= 0 GROUP BY d")
         .unwrap();
-    let q = memdb::Query::aggregate(
-        "t",
-        vec!["d"],
-        vec![
-            memdb::AggSpec::new(memdb::AggFunc::Sum, "m").with_alias("s"),
-            memdb::AggSpec::count_star().with_alias("c"),
-        ],
-    )
-    .with_filter(Expr::col("n").ge(0));
-    let programmatic = db.run(&q).unwrap();
-    assert_eq!(from_sql.result, programmatic.result);
+    let plan = memdb::LogicalPlan::scan("t")
+        .filter(Expr::col("n").ge(0))
+        .aggregate(
+            vec!["d".into()],
+            vec![
+                memdb::AggSpec::new(memdb::AggFunc::Sum, "m").with_alias("s"),
+                memdb::AggSpec::count_star().with_alias("c"),
+            ],
+        );
+    let programmatic = db.execute_plan(&plan).unwrap();
+    assert_eq!(from_sql.results, programmatic.results);
 }

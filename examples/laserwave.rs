@@ -20,7 +20,8 @@ use std::sync::Arc;
 
 use seedb::core::{AnalystQuery, Metric, SeeDb, SeeDbConfig};
 use seedb::memdb::{
-    AggFunc, AggSpec, ColumnDef, DataType, Database, Expr, Query, Schema, Semantic, Table, Value,
+    AggFunc, AggSpec, ColumnDef, DataType, Database, Expr, LogicalPlan, Schema, Semantic, Table,
+    Value,
 };
 use seedb::viz::{Frontend, VisualizationSpec};
 
@@ -77,16 +78,17 @@ fn build_sales(name: &str, background: &[(&str, f64)]) -> Table {
 }
 
 fn show_view(db: &Database, table: &str, filter: Option<Expr>, caption: &str) {
-    let mut q = Query::aggregate(
-        table,
-        vec!["store"],
+    let mut plan = LogicalPlan::scan(table);
+    if let Some(f) = filter {
+        plan = plan.filter(f);
+    }
+    let plan = plan.aggregate(
+        vec!["store".into()],
         vec![AggSpec::new(AggFunc::Sum, "amount").with_alias("Total Sales ($)")],
     );
-    if let Some(f) = filter {
-        q = q.with_filter(f);
-    }
-    let out = db.run(&q).expect("view query runs");
-    println!("{caption}\n{}", out.result.to_text());
+    let out = db.execute_plan(&plan).expect("view query runs");
+    let result = out.result_set(0).expect("one grouping set");
+    println!("{caption}\n{}", result.to_text());
 }
 
 fn main() {

@@ -8,9 +8,7 @@
 use std::sync::Arc;
 
 use seedb::core::{AnalystQuery, FunctionSet, Metric, SeeDb, SeeDbConfig};
-use seedb::memdb::{
-    AggFunc, AggSpec, ColumnDef, DataType, Database, Expr, Query, Schema, Table, Value,
-};
+use seedb::memdb::{ColumnDef, DataType, Database, Expr, Schema, Table, Value};
 
 const LASERWAVE: [(&str, f64); 4] = [
     ("Cambridge, MA", 180.55),
@@ -42,17 +40,14 @@ fn sales_table(name: &str, background: &[(&str, f64)]) -> Table {
 fn table_1_numbers_reproduce() {
     let db = Database::new();
     db.register(sales_table("sales", &[]));
-    let q = Query::aggregate(
-        "sales",
-        vec!["store"],
-        vec![AggSpec::new(AggFunc::Sum, "amount")],
-    )
-    .with_filter(Expr::col("product").eq("Laserwave"));
-    let out = db.run(&q).unwrap();
-    assert_eq!(out.result.num_rows(), 4);
+    let out = db
+        .run_sql("SELECT store, SUM(amount) FROM sales WHERE product = 'Laserwave' GROUP BY store")
+        .unwrap();
+    let result = out.result_set(0).unwrap();
+    assert_eq!(result.num_rows(), 4);
     // Sorted by store label.
     let get = |store: &str| {
-        out.result
+        result
             .rows
             .iter()
             .find(|r| r[0] == Value::from(store))

@@ -186,7 +186,10 @@ proptest! {
             ("sliced", &sliced),
         ] {
             let single = plan.lower().unwrap().execute(&table).unwrap();
-            let partitioned = run_partitioned(&db, plan, workers).unwrap();
+            let partitioned =
+                run_partitioned(&table, &plan.lower().unwrap(), workers, None, &seedb::obs::Span::none())
+                    .and_then(|state| state.finalize(&table))
+                    .unwrap();
             if let Err(msg) = outputs_bitwise_eq(&single, &partitioned) {
                 return Err(TestCaseError::fail(format!(
                     "[{name}, {workers} workers] {msg}"
