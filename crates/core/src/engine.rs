@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use memdb::{
     run_batch, CostSnapshot, Database, DbError, DbResult, LogicalPlan, PlanOutput, Table, Value,
 };
-use seedb_obs::Span;
+use seedb_obs::{Registry, Span};
 
 use crate::config::{ExecutionStrategy, SeeDbConfig};
 use crate::metadata::{AccessTracker, MetadataCollector};
@@ -97,6 +97,13 @@ impl SeeDb {
         }
     }
 
+    /// This engine, counting its metadata outcomes in `registry`
+    /// (`service.metadata.*`).
+    pub(crate) fn with_metadata_counters(mut self, registry: &Registry) -> Self {
+        self.collector = MetadataCollector::counted(registry);
+        self
+    }
+
     /// Wrap `db` with [`SeeDbConfig::recommended`].
     pub fn with_defaults(db: Arc<Database>) -> Self {
         SeeDb::new(db, SeeDbConfig::recommended())
@@ -149,9 +156,9 @@ impl SeeDb {
     /// Recommend views for an analyst query.
     ///
     /// # Errors
-    /// `UnknownTable` if the query's table is not registered; metadata
-    /// collection failures. Individual view-query failures are captured
-    /// in [`Recommendation::errors`].
+    /// `UnknownTable` if the query's table is not registered.
+    /// Individual view-query failures are captured in
+    /// [`Recommendation::errors`].
     pub fn recommend(&self, analyst: &AnalystQuery) -> DbResult<Recommendation> {
         self.recommend_via(analyst, &Span::none(), |plans, _span| {
             run_batch(&self.db, plans, self.config.execution.workers()).outputs
@@ -193,7 +200,9 @@ impl SeeDb {
         let t0 = Instant::now();
         let metadata_span = span.child("metadata");
         let need_corr = self.config.compute_correlations && self.config.pruning.correlation;
-        let metadata = self.collector.collect(&table, need_corr)?;
+        let (metadata, outcome) = self.collector.collect_outcome(&table, need_corr);
+        metadata_span.attr("outcome", outcome.name());
+        metadata_span.attr("delta_rows", outcome.delta_rows());
         drop(metadata_span);
         timings.metadata = t0.elapsed();
 

@@ -6,11 +6,32 @@
 //! per-column statistics drive variance pruning, the pairwise association
 //! matrix drives correlated-attribute clustering, and the access tracker
 //! drives access-frequency pruning.
+//!
+//! The statistics and the association matrix are not recomputed per
+//! request. The collector keeps one [`TableFold`] per table name,
+//! stamped with the table version it was folded to, plus its finalized
+//! result. A request then takes one of three paths:
+//!
+//! * **hit** — the request's table is at the stamped version: the
+//!   finalized result is reused as is;
+//! * **refresh** — the table is a pure-append descendant of the stamped
+//!   version ([`Table::append_delta_since`]) whose folded prefix is
+//!   unchanged: only the appended rows are folded, then the state is
+//!   finalized again;
+//! * **full fold** — anything else (first sight of the table, a
+//!   re-registration, a lineage that aged out, a snapshot older than the
+//!   entry, or a string dictionary that no longer extends the folded one
+//!   after a compaction): the table is folded from empty.
+//!
+//! All three finalize the same kind of fold, so they agree bit for bit
+//! with a cold [`TableStats::collect`] / [`memdb::cramers_v`]. Access
+//! counts are cheap and stay live: they are read on every request.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, RwLock};
 
-use memdb::{cramers_v, DbResult, RwLockExt, Table, TableStats};
-use std::sync::RwLock;
+use memdb::{DbResult, MutexExt, RwLockExt, Table, TableFold, TableStats};
+use seedb_obs::{Counter, Registry};
 
 /// Tracks which columns analyst queries touch, per table — the paper's
 /// "table access patterns" metadata. SeeDB records every analyst query
@@ -113,16 +134,85 @@ impl Metadata {
     }
 }
 
-/// Collects [`Metadata`] for tables, consulting a shared [`AccessTracker`].
+/// How a request's statistics were obtained (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MetadataOutcome {
+    /// The cached result was at the request's version.
+    Hit,
+    /// The cached fold was resumed over this many appended rows.
+    Refresh { delta_rows: usize },
+    /// The table was folded from empty.
+    FullFold,
+}
+
+impl MetadataOutcome {
+    /// Trace attribute value.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            MetadataOutcome::Hit => "hit",
+            MetadataOutcome::Refresh { .. } => "refresh",
+            MetadataOutcome::FullFold => "full_fold",
+        }
+    }
+
+    /// Rows folded by a refresh (0 otherwise).
+    pub(crate) fn delta_rows(self) -> usize {
+        match self {
+            MetadataOutcome::Refresh { delta_rows } => delta_rows,
+            _ => 0,
+        }
+    }
+}
+
+/// `service.metadata.*` counters.
+#[derive(Debug)]
+struct OutcomeCounters {
+    hits: Counter,
+    refreshes: Counter,
+    full_folds: Counter,
+    refresh_rows: Counter,
+}
+
+/// One table's fold, stamped with the version it was folded to, and its
+/// finalized result.
+#[derive(Debug)]
+struct FoldEntry {
+    version: u64,
+    fold: TableFold,
+    stats: TableStats,
+    correlations: Vec<(String, String, f64)>,
+}
+
+/// Collects [`Metadata`] for tables, consulting a shared [`AccessTracker`]
+/// and keeping each table's statistics as a fold it refreshes over
+/// appended rows (see the module docs).
 #[derive(Debug, Default)]
 pub struct MetadataCollector {
     tracker: AccessTracker,
+    /// Table name → its fold. Held for a hit or a refresh (work bounded
+    /// by the appended rows); a full fold runs without it.
+    metadata_folds: Mutex<HashMap<String, FoldEntry>>,
+    counters: Option<OutcomeCounters>,
 }
 
 impl MetadataCollector {
     /// A collector with a fresh access tracker.
     pub fn new() -> Self {
         MetadataCollector::default()
+    }
+
+    /// A collector that counts its outcomes in `registry` as
+    /// `service.metadata.{hits,refreshes,full_folds,refresh_rows}`.
+    pub(crate) fn counted(registry: &Registry) -> Self {
+        MetadataCollector {
+            counters: Some(OutcomeCounters {
+                hits: registry.register_counter("service.metadata.hits"),
+                refreshes: registry.register_counter("service.metadata.refreshes"),
+                full_folds: registry.register_counter("service.metadata.full_folds"),
+                refresh_rows: registry.register_counter("service.metadata.refresh_rows"),
+            }),
+            ..MetadataCollector::default()
+        }
     }
 
     /// The shared access tracker (record analyst queries here).
@@ -133,32 +223,106 @@ impl MetadataCollector {
     /// Collect full metadata (statistics + dimension correlations +
     /// access patterns) for `table`.
     ///
-    /// Correlation collection is `O(|A|² · n)`; pass
-    /// `compute_correlations = false` to skip it for very wide tables
-    /// (correlation pruning then becomes a no-op).
+    /// Correlation collection costs `O(|A|² · n)` on a full fold and
+    /// `O(|A|² · delta)` on a refresh; pass `compute_correlations =
+    /// false` to skip it for very wide tables (correlation pruning then
+    /// becomes a no-op).
     ///
     /// # Errors
-    /// Propagates column-lookup failures (schema races are impossible for
-    /// immutable tables, so in practice this is infallible).
+    /// None today: every path finalizes an in-memory fold.
     pub fn collect(&self, table: &Table, compute_correlations: bool) -> DbResult<Metadata> {
-        let stats = TableStats::collect(table);
-        let dims = table.schema().dimensions();
-        let mut dim_correlations = Vec::new();
-        if compute_correlations {
-            for (i, a) in dims.iter().enumerate() {
-                for b in dims.iter().skip(i + 1) {
-                    let v = cramers_v(table.column(a)?, table.column(b)?)?;
-                    dim_correlations.push((a.to_string(), b.to_string(), v));
+        Ok(self.collect_outcome(table, compute_correlations).0)
+    }
+
+    /// [`MetadataCollector::collect`], also reporting which path the
+    /// statistics took.
+    pub(crate) fn collect_outcome(
+        &self,
+        table: &Table,
+        compute_correlations: bool,
+    ) -> (Metadata, MetadataOutcome) {
+        let (stats, mut dim_correlations, outcome) = self.folded(table, compute_correlations);
+        if !compute_correlations {
+            dim_correlations.clear();
+        }
+        if let Some(c) = &self.counters {
+            match outcome {
+                MetadataOutcome::Hit => c.hits.inc(),
+                MetadataOutcome::Refresh { delta_rows } => {
+                    c.refreshes.inc();
+                    c.refresh_rows.add(delta_rows as u64);
                 }
+                MetadataOutcome::FullFold => c.full_folds.inc(),
             }
         }
-        Ok(Metadata {
+        let metadata = Metadata {
             table: table.name().to_string(),
             stats,
             dim_correlations,
             access_counts: self.tracker.snapshot(table.name()),
             workload_queries: self.tracker.total_queries(table.name()),
-        })
+        };
+        (metadata, outcome)
+    }
+
+    /// The finalized statistics and correlations of `table`, by hit,
+    /// refresh or full fold.
+    fn folded(
+        &self,
+        table: &Table,
+        correlations: bool,
+    ) -> (TableStats, Vec<(String, String, f64)>, MetadataOutcome) {
+        // Version 0 is every unregistered table's: nothing to key on.
+        let version = table.version();
+        if version != 0 {
+            let mut folds = self.metadata_folds.lock_recovered();
+            if let Some(e) = folds.get_mut(table.name()) {
+                let usable = e.fold.has_correlations() || !correlations;
+                if usable && e.version == version && e.fold.rows() == table.num_rows() {
+                    return (
+                        e.stats.clone(),
+                        e.correlations.clone(),
+                        MetadataOutcome::Hit,
+                    );
+                }
+                let before = e.fold.rows();
+                if usable
+                    && table.append_delta_since(e.version) == Some((before, table.num_rows()))
+                    && e.fold.fold_appended(table)
+                {
+                    (e.stats, e.correlations) = e.fold.finalize(table);
+                    e.version = version;
+                    let delta_rows = table.num_rows() - before;
+                    let outcome = MetadataOutcome::Refresh { delta_rows };
+                    return (e.stats.clone(), e.correlations.clone(), outcome);
+                }
+            }
+        }
+        let mut fold = TableFold::new(table, correlations);
+        fold.fold_appended(table);
+        let (stats, dim_correlations) = fold.finalize(table);
+        if version != 0 {
+            let mut folds = self.metadata_folds.lock_recovered();
+            // Keep an entry that is newer, or as new and at least as
+            // complete: a request on an older snapshot must not set the
+            // entry back.
+            let keep = folds.get(table.name()).is_some_and(|e| {
+                e.version > version
+                    || (e.version == version && (e.fold.has_correlations() || !correlations))
+            });
+            if !keep {
+                folds.insert(
+                    table.name().to_string(),
+                    FoldEntry {
+                        version,
+                        fold,
+                        stats: stats.clone(),
+                        correlations: dim_correlations.clone(),
+                    },
+                );
+            }
+        }
+        (stats, dim_correlations, MetadataOutcome::FullFold)
     }
 }
 

@@ -678,7 +678,7 @@ impl Service {
         let telemetry = Telemetry::from_config(&config, &obs);
         Service {
             inner: Arc::new(ServiceInner {
-                engine: SeeDb::new(db, config.seedb.clone()),
+                engine: SeeDb::new(db, config.seedb.clone()).with_metadata_counters(obs.registry()),
                 config,
                 cache,
                 batcher: Batcher::default(),

@@ -4,6 +4,10 @@
 //! paths because rule scoping keys off the workspace-relative path;
 //! the workspace scanner itself skips `fixtures/` directories.
 
+use std::collections::BTreeSet;
+
+use seedb_lint::config::LockOrderConfig;
+use seedb_lint::lexer::TokKind;
 use seedb_lint::{scan_workspace, Engine, Finding, SourceFile};
 
 const STORE_PATH: &str = "crates/memdb/src/store/fixture.rs";
@@ -109,13 +113,41 @@ fn out_of_scope_paths_are_ignored() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-#[test]
-fn workspace_sources_are_clean() {
+fn workspace_files() -> Vec<SourceFile> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .expect("workspace root exists");
-    let files = scan_workspace(&root).expect("workspace scan succeeds");
+    scan_workspace(&root).expect("workspace scan succeeds")
+}
+
+#[test]
+fn declared_lock_functions_are_defined() {
+    // A guard naming a function that no longer exists checks nothing:
+    // every `acquire_fns` / `forbid_while_held` name must be a `fn`.
+    let files = workspace_files();
+    let defined: BTreeSet<&str> = files
+        .iter()
+        .flat_map(|f| f.tokens.windows(2))
+        .filter(|w| w[0].is_ident("fn") && w[1].kind == TokKind::Ident)
+        .map(|w| w[1].text.as_str())
+        .collect();
+    let cfg = LockOrderConfig::default_declared();
+    let missing: Vec<&String> = cfg
+        .acquire_fns
+        .keys()
+        .chain(cfg.forbid_while_held.values().flatten())
+        .filter(|name| !defined.contains(name.as_str()))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "lock-order.toml names functions no scanned file defines: {missing:?}"
+    );
+}
+
+#[test]
+fn workspace_sources_are_clean() {
+    let files = workspace_files();
     assert!(files.len() > 50, "scan found only {} files", files.len());
     let findings = Engine::default().run(&files);
     assert!(

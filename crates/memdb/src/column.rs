@@ -77,6 +77,12 @@ impl StrDict {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
+
+    /// True if `earlier`'s codes mean the same strings here: this
+    /// dictionary is `earlier` with zero or more entries appended.
+    pub(crate) fn extends(&self, earlier: &StrDict) -> bool {
+        self.values.get(..earlier.values.len()) == Some(&earlier.values[..])
+    }
 }
 
 /// A single logical column: typed, segmented storage.
@@ -303,6 +309,13 @@ impl Column {
     /// Dictionary accessor for string columns.
     pub fn str_dict(&self) -> Option<&StrDict> {
         self.dict.as_deref()
+    }
+
+    /// The shared dictionary handle (string columns only), for state
+    /// that must later tell whether a descendant version's dictionary
+    /// still extends this one.
+    pub(crate) fn shared_dict(&self) -> Option<&Arc<StrDict>> {
+        self.dict.as_ref()
     }
 
     /// Number of distinct non-null values.

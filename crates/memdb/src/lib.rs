@@ -90,7 +90,7 @@ pub use sample::{sample_rows, SampleSpec};
 pub use schema::{ColumnDef, Role, Schema, Semantic};
 pub use segment::{ColumnSegment, SegmentData, Validity};
 pub use sql::{parse_query, parse_selection, Selection};
-pub use stats::{cramers_v, ColumnStats, TableStats};
+pub use stats::{cramers_v, ColumnStats, TableFold, TableStats};
 pub use store::{DurabilityConfig, DurabilitySummary};
 pub use sync::{MutexExt, RwLockExt};
 pub use table::Table;

@@ -676,3 +676,151 @@ fn sessions_are_distinct_handles_over_shared_state() {
     assert!(service.cache_stats().hits > hits_before);
     assert_recs_identical(&a, &b);
 }
+
+/// `service.metadata.{hits,refreshes,full_folds,refresh_rows}`, in that
+/// order.
+fn metadata_outcomes(service: &Service) -> [u64; 4] {
+    let counters = service.metrics().counters;
+    ["hits", "refreshes", "full_folds", "refresh_rows"]
+        .map(|k| counters[&format!("service.metadata.{k}")])
+}
+
+/// The `metadata` span's `outcome` and `delta_rows` of the last trace.
+fn metadata_span(service: &Service) -> (String, String) {
+    let trace = service.last_trace().expect("tracing is on");
+    let span = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "metadata")
+        .expect("a metadata span");
+    let attr = |k: &str| span.attr(k).unwrap_or_default().to_string();
+    (attr("outcome"), attr("delta_rows"))
+}
+
+#[test]
+fn metadata_is_folded_once_then_refreshed_over_appends_then_reused() {
+    let db = db_with_facts(800);
+    let service = Service::new(db.clone(), service_config(0));
+    service.set_trace_enabled(true);
+    let query = AnalystQuery::new("facts", Some(Expr::col("d0").eq("s1")));
+    assert_eq!(metadata_outcomes(&service), [0, 0, 0, 0]);
+
+    service.recommend(&query).unwrap();
+    assert_eq!(metadata_outcomes(&service), [0, 0, 1, 0]);
+    assert_eq!(metadata_span(&service), ("full_fold".into(), "0".into()));
+
+    let n = 37;
+    service
+        .append_rows("facts", fact_delta(800, 800 + n))
+        .unwrap();
+    let refreshed = service.recommend(&query).unwrap();
+    assert_eq!(metadata_outcomes(&service), [0, 1, 1, n as u64]);
+    assert_eq!(metadata_span(&service), ("refresh".into(), n.to_string()));
+
+    let hit = service.recommend(&query).unwrap();
+    assert_eq!(metadata_outcomes(&service), [1, 1, 1, n as u64]);
+    assert_eq!(metadata_span(&service), ("hit".into(), "0".into()));
+
+    // Both equal a cold engine on the appended table.
+    let cold_db = Arc::new(Database::new());
+    cold_db.register(fact_table(800 + n));
+    let cold = SeeDb::new(cold_db, deterministic_config())
+        .recommend(&query)
+        .unwrap();
+    assert_recs_identical(&cold, &refreshed);
+    assert_recs_identical(&cold, &hit);
+}
+
+#[test]
+fn metadata_refresh_continues_across_compactions() {
+    let base = 300;
+    let db = db_with_facts(base);
+    let service = Service::new(db.clone(), service_config(0));
+    let query = AnalystQuery::new("facts", Some(Expr::col("d0").eq("s0")));
+    service.recommend(&query).unwrap();
+    let appends = 2 * Table::SEGMENT_COMPACT_THRESHOLD;
+    let mut rows = base;
+    for k in 0..appends {
+        let n = 1 + k % 3;
+        service
+            .append_rows("facts", fact_delta(rows, rows + n))
+            .unwrap();
+        rows += n;
+        service.recommend(&query).unwrap();
+    }
+    assert!(db.table("facts").unwrap().num_segments() < appends);
+    // One fold from empty; every later request refreshed over its
+    // append, including those right after a compaction.
+    let [hits, refreshes, full_folds, refresh_rows] = metadata_outcomes(&service);
+    assert_eq!((hits, full_folds), (0, 1));
+    assert_eq!(refreshes, appends as u64);
+    assert_eq!(refresh_rows, (rows - base) as u64);
+
+    let cold_db = Arc::new(Database::new());
+    cold_db.register(fact_table(rows));
+    let cold = SeeDb::new(cold_db, deterministic_config())
+        .recommend(&query)
+        .unwrap();
+    assert_recs_identical(&cold, &service.recommend(&query).unwrap());
+}
+
+/// Four sessions recommend while a writer appends. A request whose
+/// table version did not move while it ran used that version for both
+/// its metadata and its scans, so its answer must equal a cold engine's
+/// on that snapshot — with pruning on, so the statistics matter.
+#[test]
+fn concurrent_sessions_under_appends_match_cold_on_their_snapshot() {
+    let base = 600;
+    let db = db_with_facts(base);
+    let service = Service::new(db.clone(), service_config(1));
+    let results: Vec<(Arc<Table>, AnalystQuery, Recommendation)> = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..4)
+            .map(|r| {
+                let session = service.session();
+                let db = &db;
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    for i in 0..8 {
+                        let filter = format!("s{}", (r + i) % 4);
+                        let query = AnalystQuery::new("facts", Some(Expr::col("d0").eq(filter)));
+                        let before = db.table("facts").unwrap();
+                        let rec = session.recommend(&query).unwrap();
+                        if db.table("facts").unwrap().version() == before.version() {
+                            out.push((before, query, rec));
+                        }
+                        // Pace the reads across the writer's appends.
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    out
+                })
+            })
+            .collect();
+        let writer = service.session();
+        s.spawn(move || {
+            let mut rows = base;
+            for k in 0..12 {
+                let n = 5 + 3 * k;
+                writer
+                    .append_rows("facts", fact_delta(rows, rows + n))
+                    .unwrap();
+                rows += n;
+                std::thread::sleep(Duration::from_millis(3));
+            }
+        });
+        readers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    assert!(results.len() >= 8, "only {} stable requests", results.len());
+    for (snapshot, query, rec) in &results {
+        let cold_db = Arc::new(Database::new());
+        cold_db.register((**snapshot).clone());
+        let cold = SeeDb::new(cold_db, deterministic_config())
+            .recommend(query)
+            .unwrap();
+        assert_recs_identical(&cold, rec);
+    }
+    let [hits, refreshes, full_folds, _] = metadata_outcomes(&service);
+    assert!(hits + refreshes + full_folds >= 32);
+}
